@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-json bench-diff repro repro-full demo-keys clean
+.PHONY: all build vet check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover perfbench-test bench bench-smoke bench-json bench-diff repro repro-full demo-keys clean
 
 all: build test
 
@@ -16,9 +16,10 @@ vet:
 # detector over the concurrent packages, the fault-injection suite, the
 # conformance oracle, the native fuzz targets' smoke pass, the
 # exposition-format lint, the coverage floor, a one-iteration smoke
-# pass over the pipeline benchmarks, the end-to-end tracing smoke test,
-# and the benchmark regression report.
-check: build vet test race chaos conform fuzz-smoke metrics-lint cover bench-smoke trace-smoke bench-diff
+# pass over the pipeline benchmarks, the repository benchmark's own
+# tests, the end-to-end tracing smoke test, and the benchmark regression
+# report.
+check: build vet test race chaos conform fuzz-smoke metrics-lint cover bench-smoke perfbench-test trace-smoke bench-diff
 
 test:
 	$(GO) test ./...
@@ -33,10 +34,11 @@ test-repeat:
 	$(GO) test -short -count=2 -shuffle=on ./...
 
 # Race-detector pass over every package the live forwarding plane runs
-# concurrently: the forwarder itself plus its lock-free/sharded layers
-# (bloom, core validator, ndn tables) and the transports.
+# concurrently: the forwarder itself plus its forwarding state machine
+# (pipeline), its lock-free/sharded layers (bloom, core validator, ndn
+# tables) and the transports.
 race:
-	$(GO) test -race ./internal/enforce/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/...
+	$(GO) test -race ./internal/enforce/... ./internal/pipeline/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/...
 
 # Fault-injection suite: failover/chaos soaks and face churn, under the
 # race detector (see README "Failure handling & chaos testing").
@@ -81,19 +83,26 @@ fuzz-smoke:
 metrics-lint:
 	$(GO) test -count=1 -run 'TestMetricsLint|TestWritePrometheus' ./internal/fleet/ ./internal/obs/
 
-# Statement-coverage floors: the scheme-agnostic decision engine is the
-# repo's most safety-critical package and is held to 90%; the live
-# forwarder (timing-heavy plumbing) to 70%; the tag primitives, wire
-# codec, and tag-lifecycle service to the default 80%.
+# Statement-coverage floors: the scheme-agnostic decision engine and the
+# forwarding state machine both planes run are the repo's most
+# safety-critical packages and are held to 90%; the live forwarder
+# (timing-heavy plumbing) to 70%; the tag primitives, wire codec, and
+# tag-lifecycle service to the default 80%.
 COVER_FLOOR ?= 80
 COVER_FLOOR_ENFORCE ?= 90
 COVER_FLOOR_FORWARDER ?= 70
 cover:
-	@$(GO) test -cover ./internal/core/ ./internal/ndn/ ./internal/lifecycle/ ./internal/enforce/ ./internal/forwarder/ | tee /tmp/tactic-cover.txt
-	@awk -v floor=$(COVER_FLOOR) -v enf=$(COVER_FLOOR_ENFORCE) -v fwd=$(COVER_FLOOR_FORWARDER) '/coverage:/ { f = floor; if ($$2 ~ /internal\/enforce$$/) f = enf; if ($$2 ~ /internal\/forwarder$$/) f = fwd; gsub(/%/, "", $$5); if ($$5 + 0 < f) { print "FAIL: " $$2 " coverage " $$5 "% below " f "%"; bad = 1 } } END { exit bad }' /tmp/tactic-cover.txt
+	@$(GO) test -cover ./internal/core/ ./internal/ndn/ ./internal/lifecycle/ ./internal/enforce/ ./internal/pipeline/ ./internal/forwarder/ | tee /tmp/tactic-cover.txt
+	@awk -v floor=$(COVER_FLOOR) -v enf=$(COVER_FLOOR_ENFORCE) -v fwd=$(COVER_FLOOR_FORWARDER) '/coverage:/ { f = floor; if ($$2 ~ /internal\/(enforce|pipeline)$$/) f = enf; if ($$2 ~ /internal\/forwarder$$/) f = fwd; gsub(/%/, "", $$5); if ($$5 + 0 < f) { print "FAIL: " $$2 " coverage " $$5 "% below " f "%"; bad = 1 } } END { exit bad }' /tmp/tactic-cover.txt
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark (perfbench/, its own Go module over the public
+# forwarder and experiment APIs): a short smoke pass of every workload,
+# the traced-run sum check, and one negative case per correctness gate.
+perfbench-test:
+	cd perfbench && GOWORK=off $(GO) test ./...
 
 # One iteration of every pipeline benchmark: catches harness bit-rot in
 # seconds without measuring anything.

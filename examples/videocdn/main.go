@@ -21,6 +21,7 @@ import (
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/experiment"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/topology"
 )
 
@@ -105,8 +106,7 @@ func run() error {
 		hitRatio = float64(res.CSHits) / float64(res.CSHits+res.CSMisses)
 	}
 	fmt.Printf("\nedge caching kept working under enforcement: %d cache hits (%.3f hit ratio)\n", res.CSHits, hitRatio)
-	fmt.Printf("NACKed deliveries dropped at the edge (insufficient level, per Protocol 2): %d\n",
-		res.Drops["edge-nack-drop"])
-	fmt.Printf("tagless requests for private content dropped: %d\n", res.Drops["tagless-private"])
+	fmt.Printf("deliveries the edge refused (upstream NACK or tagless private request, per Protocol 2): %d\n",
+		res.Drops[pipeline.DropUndeliverable])
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/network"
 	"github.com/tactic-icn/tactic/internal/obs"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/sim"
 	"github.com/tactic-icn/tactic/internal/topology"
@@ -538,16 +539,18 @@ func (b *builder) setupPKIAndProviders() error {
 func (b *builder) routerConfig() network.RouterConfig {
 	behaviour := b.scenario.Baseline.Behaviour()
 	return network.RouterConfig{
-		Traitor:            b.traitor,
-		BFCapacity:         b.scenario.BFCapacity,
-		BFMaxFPP:           b.scenario.BFMaxFPP,
-		BFDesignFPP:        b.scenario.BFDesignFPP,
-		CSCapacity:         b.scenario.CSCapacity,
-		PITLifetime:        b.scenario.PITLifetime,
-		Tactic:             b.scenario.Ablations,
-		DisableEnforcement: behaviour.DisableEnforcement,
-		NoPrivateCache:     behaviour.NoPrivateCache,
-		DropContentOnNACK:  b.scenario.DropContentOnNACK,
+		Traitor:     b.traitor,
+		BFCapacity:  b.scenario.BFCapacity,
+		BFMaxFPP:    b.scenario.BFMaxFPP,
+		BFDesignFPP: b.scenario.BFDesignFPP,
+		CSCapacity:  b.scenario.CSCapacity,
+		PITLifetime: b.scenario.PITLifetime,
+		Tactic:      b.scenario.Ablations,
+		Comparators: pipeline.Comparators{
+			DisableEnforcement: behaviour.DisableEnforcement,
+			NoPrivateCache:     behaviour.NoPrivateCache,
+			DropContentOnNACK:  b.scenario.DropContentOnNACK,
+		},
 	}
 }
 

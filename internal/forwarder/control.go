@@ -7,6 +7,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
 
@@ -120,8 +121,8 @@ func (f *Forwarder) flushRevokedParked() {
 		return
 	}
 	rev := f.tactic.Revocations()
-	n := f.vp.flushWhere(func(j *verifyJob) bool {
-		return j.i.Tag != nil && rev.Contains(j.i.Tag.ID())
+	n := f.vp.flushWhere(func(j *pipeline.Job) bool {
+		return j.Interest.Tag != nil && rev.Contains(j.Interest.Tag.ID())
 	}, core.ErrTagRevoked)
 	if n > 0 {
 		f.logf("control: flushed %d parked verifies for revoked tags", n)

@@ -5,13 +5,18 @@
 // cmd/tacticserve, and cmd/tacticget they form a runnable TACTIC
 // network on localhost or across machines.
 //
-// Concurrency model: one reader goroutine per face runs the enforcement
-// pipeline directly, and the pipeline holds no global lock. Every layer
-// it touches synchronises itself: the FIB is read-mostly behind an
-// RWMutex, the PIT and CS are sharded by name hash with per-shard locks
+// Concurrency model: the forwarding state machine is internal/pipeline,
+// the same one the simulator runs; the Forwarder is its I/O. One reader
+// goroutine per face decodes packets and runs them through the pipeline
+// directly, and the pipeline holds no global lock. Every layer it
+// touches synchronises itself: the FIB is read-mostly behind an RWMutex,
+// the PIT and CS are sharded by name hash with per-shard locks
 // (internal/ndn), the Bloom filter is an atomic bitset, and the tag
 // validator deduplicates concurrent verifications of the same tag so N
-// faces presenting one unverified tag cost one signature check. The
+// faces presenting one unverified tag cost one signature check. An
+// Interest whose verdict needs a signature check is parked in the
+// bounded verify pool (verifypool.go), whose workers resume it through
+// the pipeline, so no reader ever waits on a verification. The
 // forwarder's own mutex guards only face-table membership (attach,
 // detach, uplink registration); sends are per-face serialised by
 // transport.Conn. A background ticker expires PIT entries.
@@ -23,7 +28,6 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +38,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
@@ -143,11 +148,10 @@ type Forwarder struct {
 	// the shed counter still counts every occurrence.
 	shedGate obs.BurstGate
 
-	// fib, pit, and cs synchronise themselves (see internal/ndn); the
-	// pipeline reaches them without holding f.mu.
-	fib *ndn.LockedFIB
-	pit *ndn.ShardedPIT
-	cs  *ndn.ShardedCS
+	// pipe owns the FIB and PIT; it and cs synchronise themselves (see
+	// internal/ndn) and are reached without holding f.mu.
+	pipe *pipeline.Pipeline
+	cs   *ndn.ShardedCS
 
 	// vp parks Interests awaiting signature verification off the face
 	// readers (see verifypool.go).
@@ -245,8 +249,6 @@ func New(cfg Config) (*Forwarder, error) {
 		start:  time.Now(),
 		m:      newObsMetrics(cfg.Obs, cfg.Role),
 		ev:     cfg.Events,
-		fib:    ndn.NewLockedFIB(),
-		pit:    ndn.NewShardedPIT(),
 		cs:     ndn.NewShardedCS(cfg.CSCapacity),
 		faces:  make(map[ndn.FaceID]*faceState),
 		closed: make(chan struct{}),
@@ -255,6 +257,7 @@ func New(cfg Config) (*Forwarder, error) {
 	if cfg.Tactic.DisableAdmission {
 		budget = 0 // park without bound; the shed policy is ablated away
 	}
+	f.pipe = pipeline.New(f.tactic, f.cs, (*plane)(f), cfg.Role == RoleEdge, cfg.PITLifetime, pipeline.Comparators{})
 	f.vp = newVerifyPool(f, cfg.VerifyWorkers, budget)
 	f.registerSampled(cfg.Obs)
 	f.wg.Add(1)
@@ -284,7 +287,7 @@ func (f *Forwarder) expireLoop() {
 		case <-f.closed:
 			return
 		case now := <-t.C:
-			if expired := f.pit.ExpireBefore(now); len(expired) > 0 {
+			if expired := f.pipe.PIT().ExpireBefore(now); len(expired) > 0 {
 				f.m.pitExpired.Add(uint64(len(expired)))
 				f.logf("pit: %d entries expired unanswered", len(expired))
 			}
@@ -382,11 +385,11 @@ func (f *Forwarder) removeFace(id ndn.FaceID) {
 	if !ok {
 		return
 	}
-	if n := f.fib.RemoveFace(id); n > 0 {
+	if n := f.pipe.FIB().RemoveFace(id); n > 0 {
 		f.m.routesDetached.Add(uint64(n))
 		f.logf("face %d: detached %d routes", id, n)
 	}
-	if flushed := f.pit.DropByOutFace(id); len(flushed) > 0 {
+	if flushed := f.pipe.PIT().DropByOutFace(id); len(flushed) > 0 {
 		f.m.pitFlushed.Add(uint64(len(flushed)))
 		f.logf("face %d: flushed %d pending interests", id, len(flushed))
 	}
@@ -403,7 +406,7 @@ func (f *Forwarder) removeFace(id ndn.FaceID) {
 
 // AddRoute installs a prefix route toward a face.
 func (f *Forwarder) AddRoute(prefix names.Name, face ndn.FaceID) {
-	f.fib.Insert(prefix, face)
+	f.pipe.FIB().Insert(prefix, face)
 }
 
 // DialUpstream connects to an upstream node and returns its face. The
@@ -514,9 +517,6 @@ func (f *Forwarder) Tactic() *enforce.Router { return f.tactic }
 // conformance oracle uses it for end-state cache comparison.
 func (f *Forwarder) CSNames() []string { return f.cs.Names() }
 
-// errNoFace reports a send against a face that is no longer attached.
-var errNoFace = errors.New("forwarder: face detached")
-
 // send transmits a Data on a face. Failures are counted as drops; a
 // connection-level failure additionally detaches the face so the next
 // packet does not hit the same dead peer.
@@ -526,27 +526,85 @@ func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
 	f.mu.RUnlock()
 	if !ok {
 		f.stats.drops.Add(1)
-		f.m.drop(dropNoFace)
+		f.m.drop(pipeline.DropNoFace)
 		return
 	}
 	if err := fs.conn.SendData(d); err != nil {
 		f.logf("send data on face %d: %v", face, err)
 		f.stats.drops.Add(1)
-		f.m.drop(dropSendErr)
+		f.m.drop(pipeline.DropSendErr)
 		if transport.IsFatal(err) {
 			f.removeFace(face)
 		}
 	}
 }
 
-// sendInterest forwards an Interest on a face, detaching the face on a
-// connection-level failure. The caller accounts the drop.
-func (f *Forwarder) sendInterest(face ndn.FaceID, i *ndn.Interest) error {
+// handleInterest runs an Interest through the pipeline. It holds no
+// forwarder-wide lock, so faces proceed in parallel and serialise only
+// per name shard, and never verifies a signature itself, so the hop
+// histogram measures the reader's hot path only.
+func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
+	now := time.Now()
+	sp := f.cfg.Tracer.StartCtx(traceCtx(i.Trace), "interest", i.Name.String())
+	n := f.stats.interests.Add(1)
+	f.m.interest.Inc()
+	defer func() { f.m.hop.Observe(time.Since(now).Seconds()) }()
+	if i.Kind == ndn.KindContent && f.cfg.Role == RoleEdge && from.downstream {
+		// The edge is its clients' first-hop entity: reset-then-stamp
+		// the access path before Protocol 2 checks it.
+		i.AccessPath = core.EmptyAccessPath.Accumulate(f.cfg.ID)
+	}
+	// 1-in-64 packets contribute pit_cs / encode_send stage timings
+	// (bf_lookup and verify are timed inside their own layers); a packet
+	// with a span is always timed so its trace shows the decomposition.
+	f.pipe.Interest(i, f.packet(i.Trace, sp, from, now, decodeDur,
+		f.m.stagePITCS != nil && n&stageSampleMask == 0))
+}
+
+// handleData runs a Data through the pipeline, lock-free like
+// handleInterest.
+func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Duration) {
+	now := time.Now()
+	sp := f.cfg.Tracer.StartCtx(traceCtx(d.Trace), "data", d.Name.String())
+	f.stats.data.Add(1)
+	f.m.data.Inc()
+	f.pipe.Data(d, f.packet(d.Trace, sp, from, now, decodeDur, false))
+}
+
+// packet opens a packet's pass through the pipeline.
+func (f *Forwarder) packet(tc ndn.TraceContext, sp *obs.Span, from *faceState, now time.Time, decodeDur time.Duration, sampled bool) pipeline.Packet {
+	pkt := pipeline.Packet{From: from.id, Downstream: from.downstream, Now: now, Trace: propagateTrace(tc, sp), Timed: sampled || sp != nil}
+	if sp != nil {
+		pkt.Span = sp
+		if decodeDur > 0 {
+			sp.EventDur("decode", decodeDur, "")
+		}
+	}
+	return pkt
+}
+
+// plane is the Forwarder seen as the pipeline's Sink: sockets, metrics,
+// spans and the verify pool.
+type plane Forwarder
+
+func span(s any) *obs.Span {
+	sp, _ := s.(*obs.Span)
+	return sp
+}
+
+func (p *plane) SendData(_ any, face ndn.FaceID, d *ndn.Data) {
+	(*Forwarder)(p).send(face, d)
+}
+
+// SendInterest forwards an Interest on a face, detaching the face on a
+// connection-level failure. The pipeline accounts the drop.
+func (p *plane) SendInterest(_ any, face ndn.FaceID, i *ndn.Interest) error {
+	f := (*Forwarder)(p)
 	f.mu.RLock()
 	fs, ok := f.faces[face]
 	f.mu.RUnlock()
 	if !ok {
-		return errNoFace
+		return pipeline.ErrNoFace
 	}
 	if err := fs.conn.SendInterest(i); err != nil {
 		f.logf("send interest on face %d: %v", face, err)
@@ -558,355 +616,61 @@ func (f *Forwarder) sendInterest(face ndn.FaceID, i *ndn.Interest) error {
 	return nil
 }
 
-// formatFlag renders an F value for trace annotations.
-func formatFlag(flag float64) string {
-	return "F=" + strconv.FormatFloat(flag, 'g', -1, 64)
+func (p *plane) Nack(reason error, _ *ndn.Interest) {
+	p.stats.nacks.Add(1)
+	p.m.nack(reason)
 }
 
-// nackInterest denies an Interest back to its arrival face with the
-// given reason, counting the NACK and ending the span.
-func (f *Forwarder) nackInterest(i *ndn.Interest, from *faceState, reason error, sp *obs.Span, inTC ndn.TraceContext) {
-	f.stats.nacks.Add(1)
-	f.m.nack(reason)
-	f.send(from.id, &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: reason,
-		Trace: propagateTrace(inTC, sp)})
-	sp.End("nack:" + core.ReasonLabel(reason))
+func (p *plane) Drop(cause string) {
+	p.stats.drops.Add(1)
+	p.m.drop(cause)
 }
 
-// parkForVerify hands an Interest whose enforcement decision needs a
-// signature check to the verification pool, shedding with an Overload
-// NACK when the arrival face is over budget. Called from face readers
-// (first park) and from pool workers (an edge-verified Interest whose
-// content decision then also needs a verify).
-func (f *Forwarder) parkForVerify(job *verifyJob) {
-	job.parkedAt = time.Now()
-	// Annotate before admitting: the moment admit succeeds the job
-	// belongs to a pool worker, and the span with it.
-	if job.sp != nil {
-		job.sp.Event("park", "verify")
+// Park hands the Interest to the verify pool, or sheds it when its face
+// is over budget.
+func (p *plane) Park(j *pipeline.Job) bool {
+	j.Parked = time.Now()
+	if p.vp.admit(j) {
+		return true
 	}
-	if f.vp.admit(job) {
-		return
-	}
-	f.m.shed()
-	if f.ev != nil {
+	p.m.shed()
+	if p.ev != nil {
 		// Rate-limited to ~1 event/s: a shed storm logs as a burst count,
 		// not one event per dropped Interest.
-		if burst := f.shedGate.Add(1); burst > 0 {
-			f.ev.Emit(obs.EventShedBurst, int(job.from.id), "verify_overload", burst)
+		if burst := p.shedGate.Add(1); burst > 0 {
+			p.ev.Emit(obs.EventShedBurst, int(j.From), "verify_overload", burst)
 		}
 	}
-	f.nackInterest(job.i, job.from, core.ErrOverload, job.sp, job.inTC)
+	return false
 }
 
-// handleInterest runs the Interest pipeline (the real-time analogue of
-// the simulator's RouterNode.HandleInterest). It holds no forwarder-wide
-// lock: enforcement, CS, PIT, and FIB synchronise themselves, so faces
-// proceed in parallel and serialise only per name shard. Signature
-// verification never runs here: a decision that needs one parks the
-// Interest in the verify pool and the reader moves to the next packet,
-// so the hop histogram measures the reader's hot path only.
-func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
-	now := time.Now()
-	inTC := i.Trace
-	sp := f.cfg.Tracer.StartCtx(traceCtx(inTC), "interest", i.Name.String())
-	n := f.stats.interests.Add(1)
-	f.m.interest.Inc()
-	defer func() { f.m.hop.Observe(time.Since(now).Seconds()) }()
-	// 1-in-64 packets contribute pit_cs / encode_send stage timings
-	// (bf_lookup and verify are timed inside their own layers); a packet
-	// with a span is always timed so its trace shows the decomposition.
-	sampled := sp != nil || (f.m.stagePITCS != nil && n&stageSampleMask == 0)
-	if sp != nil && decodeDur > 0 {
-		sp.EventDur("decode", decodeDur, "")
+// Event annotates the packet's span; a timed pit_cs / encode_send stage
+// also feeds its stage histogram, with the trace ID as exemplar.
+func (p *plane) Event(s any, stage, detail string, start time.Time) {
+	sp := span(s)
+	if start.IsZero() {
+		sp.Event(stage, detail)
+		return
 	}
-
-	if i.Kind == ndn.KindContent && f.cfg.Role == RoleEdge && from.downstream {
-		// The edge is its clients' first-hop entity: reset-then-stamp
-		// the access path, then run Protocol 2.
-		i.AccessPath = core.EmptyAccessPath.Accumulate(f.cfg.ID)
-		var enfStart time.Time
-		if sp != nil {
-			enfStart = time.Now()
-		}
-		dec := f.tactic.EdgeOnInterestFast(i.Tag, i.AccessPath, i.Name, now)
-		if sp != nil {
-			enfDur := time.Since(enfStart)
-			if dec.Reason != nil {
-				sp.Event("precheck", core.ReasonLabel(dec.Reason))
-			} else {
-				sp.Event("precheck", "ok")
-			}
-			// The enforcement verdict: which check decided, and its cost.
-			switch {
-			case dec.BFHit:
-				sp.EventDur("bf_lookup", enfDur, "hit")
-			default:
-				sp.EventDur("bf_lookup", enfDur, "miss")
-			}
-		}
-		if dec.Denied() {
-			f.nackInterest(i, from, dec.Reason, sp, inTC)
-			return
-		}
-		if dec.NeedsVerify() {
-			f.parkForVerify(&verifyJob{kind: verifyEdgeInterest, i: i, from: from,
-				now: now, sp: sp, inTC: inTC, sampled: sampled})
-			return
-		}
-		i.Flag = dec.Flag
-		if sp != nil {
-			sp.Event("flag", formatFlag(dec.Flag))
-		}
-	} else if sp != nil && i.Flag != 0 {
-		// A core hop sees the edge's collaboration flag on the wire.
-		sp.Event("flag", formatFlag(i.Flag))
+	d := time.Since(start)
+	switch stage {
+	case pipeline.StagePITCS:
+		p.m.stagePITCS.ObserveTraced(d.Seconds(), sp.TraceID())
+	case pipeline.StageEncodeSend:
+		p.m.stageEncodeSend.ObserveTraced(d.Seconds(), sp.TraceID())
 	}
-
-	f.continueInterest(i, from, now, sp, inTC, sampled)
+	sp.EventDur(stage, d, detail)
 }
 
-// finishContentHit sends the verdict for a content-store hit: the
-// content (alongside a NACK when the tag failed — the paper's §5.B
-// trade-off), or the content alone.
-func (f *Forwarder) finishContentHit(i *ndn.Interest, from *faceState, content *core.Content, dec enforce.Verdict, sp *obs.Span, inTC ndn.TraceContext, sampled bool) {
-	if dec.Denied() {
-		f.stats.nacks.Add(1)
-		f.m.nack(dec.Reason)
-	} else {
-		f.stats.csHits.Add(1)
-		f.m.csHits.Inc()
+func (p *plane) End(s any, outcome, detail string) {
+	if outcome == pipeline.OutcomeCSHit {
+		p.stats.csHits.Add(1)
+		p.m.csHits.Inc()
 	}
-	var sendStart time.Time
-	if sampled {
-		sendStart = time.Now()
-	}
-	f.send(from.id, &ndn.Data{
-		Name: i.Name, Content: content, Tag: i.Tag,
-		Flag: dec.Flag, Nack: dec.Denied(), NackReason: dec.Reason,
-		Trace: propagateTrace(inTC, sp),
-	})
-	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
-	if dec.Denied() {
-		sp.End("nack:" + core.ReasonLabel(dec.Reason))
-	} else {
-		sp.End("cs_hit")
-	}
-}
-
-// continueInterest is the Interest pipeline after edge enforcement
-// settled (or was not required): content-store lookup, PIT admission,
-// FIB resolution, forward. It runs on the face reader when no signature
-// check was needed and on a verify-pool worker otherwise.
-func (f *Forwarder) continueInterest(i *ndn.Interest, from *faceState, now time.Time, sp *obs.Span, inTC ndn.TraceContext, sampled bool) {
-	var tables time.Time
-	if sampled {
-		tables = time.Now()
-	}
-	if i.Kind == ndn.KindContent {
-		if content, ok := f.cs.Lookup(i.Name); ok {
-			observeStageSpan(f.m.stagePITCS, "pit_cs", tables, sp)
-			dec := f.tactic.ContentOnInterestFast(i.Tag, content.Meta, i.Flag, now)
-			if sp != nil {
-				// The content-router verdict: on F != 0 whether the
-				// probabilistic re-check fired; on F = 0 which check
-				// vouched for the tag.
-				switch {
-				case i.Flag != 0 && dec.NeedsVerify():
-					sp.Event("flag_check", "recheck")
-				case i.Flag != 0:
-					sp.Event("flag_check", "recheck_skipped")
-				case dec.BFHit:
-					sp.Event("bf_lookup", "hit")
-				}
-			}
-			if dec.NeedsVerify() {
-				f.parkForVerify(&verifyJob{kind: verifyContentHit, i: i, from: from,
-					content: content, flag: dec.Flag, now: now, sp: sp, inTC: inTC, sampled: sampled})
-				return
-			}
-			f.finishContentHit(i, from, content, dec, sp, inTC, sampled)
-			return
+	if sp := span(s); sp != nil {
+		if detail != "" {
+			outcome += ":" + detail
 		}
+		sp.End(outcome)
 	}
-
-	outcome, outFace := f.pit.Admit(i.Name,
-		ndn.PITRecord{Tag: i.Tag, Flag: i.Flag, InFace: from.id, Nonce: i.Nonce, Arrived: now},
-		now, now.Add(f.cfg.PITLifetime))
-	observeStageSpan(f.m.stagePITCS, "pit_cs", tables, sp)
-	switch outcome {
-	case ndn.PITDuplicate:
-		f.stats.drops.Add(1)
-		f.m.drop(dropDupNonce)
-		sp.End("drop:" + dropDupNonce)
-		return
-	case ndn.PITAggregated:
-		// A fresh nonce for a pending name is a retransmission: re-send
-		// upstream as well as aggregating, so an Interest silently lost
-		// on the uplink is recovered instead of black-holing every
-		// requester until the entry expires. While the primary forward is
-		// still in flight the out-face is unset and there is nothing to
-		// recover yet.
-		if outFace != ndn.FaceNone {
-			i.Trace = propagateTrace(inTC, sp)
-			f.sendInterest(outFace, i) //nolint:errcheck // best-effort recovery
-		}
-		sp.End("aggregated")
-		return
-	}
-
-	// PITNew: resolve the route, record it on the entry, forward. An
-	// Interest that cannot be forwarded consumes its fresh entry again,
-	// so retransmissions re-forward instead of aggregating onto a dead
-	// entry for a full PIT lifetime. (A concurrent retransmission landing
-	// in the abort window aggregates onto the doomed entry and is
-	// recovered by its own retransmission — the same exposure a lost
-	// upstream Interest has.)
-	face, ok := f.fib.Lookup(i.Name)
-	if !ok {
-		f.pit.Consume(i.Name)
-		f.stats.drops.Add(1)
-		f.m.drop(dropNoRoute)
-		f.logf("no route for %s", i.Name)
-		sp.End("drop:" + dropNoRoute)
-		return
-	}
-	f.pit.SetOutFace(i.Name, face)
-	var sendStart time.Time
-	if sampled {
-		sendStart = time.Now()
-	}
-	i.Trace = propagateTrace(inTC, sp)
-	if err := f.sendInterest(face, i); err != nil {
-		cause := dropSendErr
-		if errors.Is(err, errNoFace) {
-			cause = dropNoFace
-		}
-		f.stats.drops.Add(1)
-		f.m.drop(cause)
-		f.pit.Consume(i.Name) // the request never left; free it for retransmission
-		sp.End("drop:" + cause)
-		return
-	}
-	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
-	sp.End("forwarded")
-}
-
-// handleData runs the Data pipeline, lock-free like handleInterest.
-func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Duration) {
-	now := time.Now()
-	inTC := d.Trace
-	sp := f.cfg.Tracer.StartCtx(traceCtx(inTC), "data", d.Name.String())
-	outTC := propagateTrace(inTC, sp)
-	f.stats.data.Add(1)
-	f.m.data.Inc()
-	if sp != nil && decodeDur > 0 {
-		sp.EventDur("decode", decodeDur, "")
-	}
-
-	if d.Registration != nil {
-		if f.cfg.Role == RoleEdge && d.Registration.Tag != nil {
-			f.tactic.EdgeOnTagResponse(d.Registration.Tag)
-		}
-		entry, ok := f.pit.Consume(d.Name)
-		if !ok {
-			f.stats.drops.Add(1)
-			f.m.drop(dropUnsolicited)
-			sp.End("drop:" + dropUnsolicited)
-			return
-		}
-		d.Trace = outTC
-		for _, rec := range entry.Records {
-			f.send(rec.InFace, d)
-		}
-		sp.End("registration")
-		return
-	}
-
-	if d.Content != nil {
-		f.cs.Insert(d.Content)
-	}
-	entry, ok := f.pit.Consume(d.Name)
-	if !ok {
-		f.stats.drops.Add(1)
-		f.m.drop(dropUnsolicited)
-		sp.End("drop:" + dropUnsolicited)
-		return
-	}
-
-	primary := entry.Records[0]
-	if f.cfg.Role == RoleEdge {
-		f.edgeDeliver(d, primary, true, now, sp, outTC)
-	} else {
-		f.send(primary.InFace, &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: primary.Tag,
-			Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason,
-			Trace: outTC,
-		})
-	}
-	for _, rec := range entry.Records[1:] {
-		if f.cfg.Role == RoleEdge {
-			f.edgeDeliver(d, rec, false, now, sp, outTC)
-			continue
-		}
-		if d.Content == nil {
-			f.send(rec.InFace, &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: d.NackReason, Trace: outTC})
-			continue
-		}
-		if rec.Tag == nil {
-			if d.Content.Meta.Level == core.Public {
-				f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC})
-			} else {
-				f.stats.nacks.Add(1)
-				f.m.nack(core.ErrNoTag)
-				f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Nack: true, NackReason: core.ErrNoTag, Trace: outTC})
-			}
-			continue
-		}
-		dec := f.tactic.IntermediateOnAggregatedContent(rec.Tag, d.Content.Meta, rec.Flag, now)
-		if dec.Denied() {
-			f.stats.nacks.Add(1)
-			f.m.nack(dec.Reason)
-			sp.Event("nack_aggregate", core.ReasonLabel(dec.Reason))
-		}
-		f.send(rec.InFace, &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: rec.Tag,
-			Flag: dec.Flag, Nack: dec.Denied(), NackReason: dec.Reason,
-			Trace: outTC,
-		})
-	}
-	if d.Nack {
-		sp.End("relayed_nack:" + core.ReasonLabel(d.NackReason))
-	} else {
-		sp.End("delivered")
-	}
-}
-
-// edgeDeliver applies Protocol 2's On-Content logic for one record.
-func (f *Forwarder) edgeDeliver(d *ndn.Data, rec ndn.PITRecord, isPrimary bool, now time.Time, sp *obs.Span, outTC ndn.TraceContext) {
-	if rec.Tag == nil {
-		if d.Content != nil && d.Content.Meta.Level == core.Public && !d.Nack {
-			f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC})
-		} else {
-			f.stats.drops.Add(1)
-			f.m.drop(dropUndeliverable)
-			sp.Event("edge_drop", "no_tag")
-		}
-		return
-	}
-	var deliver bool
-	if isPrimary {
-		deliver = !f.tactic.EdgeOnData(rec.Tag, d.Flag, d.Nack).Denied()
-	} else if d.Content != nil {
-		deliver = !f.tactic.EdgeOnAggregatedData(rec.Tag, d.Content.Meta, now).Denied()
-	}
-	if !deliver {
-		f.stats.drops.Add(1)
-		f.m.drop(dropUndeliverable)
-		sp.Event("edge_drop", core.ReasonLabel(d.NackReason))
-		// Tell the client so it can fail fast rather than time out.
-		f.send(rec.InFace, &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: d.NackReason, Trace: outTC})
-		return
-	}
-	f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC})
 }

@@ -7,7 +7,7 @@ import (
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/ndn"
-	"github.com/tactic-icn/tactic/internal/obs"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 )
 
 // The bounded asynchronous verification subsystem. Signature
@@ -35,43 +35,9 @@ import (
 // shutdown, so nothing leaks and no client waits out a PIT lifetime
 // for a verdict that can never come.
 
-// verifyKind says which enforcement decision a parked job completes.
-type verifyKind int
-
-const (
-	// verifyEdgeInterest: EdgeOnInterestFast reported NeedVerify (edge
-	// BF miss under EdgeValidateOnMiss). Completion is EdgeVerifyMiss,
-	// then the rest of the Interest pipeline.
-	verifyEdgeInterest verifyKind = iota
-	// verifyContentHit: ContentOnInterestFast reported NeedVerify for a
-	// content-store hit (F = 0 BF miss, or the F != 0 probabilistic
-	// re-check fired). Completion is ContentVerifyMiss, then the Data
-	// send.
-	verifyContentHit
-)
-
-// verifyJob is one parked Interest awaiting signature verification.
-type verifyJob struct {
-	kind verifyKind
-	i    *ndn.Interest
-	from *faceState
-	// content is the CS hit awaiting its verdict (verifyContentHit).
-	content *core.Content
-	// flag is the effective F for the content completion.
-	flag float64
-	// now is the pipeline-entry protocol time: expiry and PIT lifetimes
-	// are judged against the Interest's arrival, not its dequeue.
-	now time.Time
-	// parkedAt is the enqueue instant, for park-time observability.
-	parkedAt time.Time
-	sp       *obs.Span
-	inTC     ndn.TraceContext
-	sampled  bool
-}
-
 // faceVerifyQueue is one face's admission queue.
 type faceVerifyQueue struct {
-	jobs     []*verifyJob
+	jobs     []*pipeline.Job
 	inflight int
 }
 
@@ -112,8 +78,8 @@ func newVerifyPool(f *Forwarder, workers, budget int) *verifyPool {
 // admit parks a job against its arrival face's budget. It returns false
 // — and the caller must shed with an Overload NACK — when the face is
 // over budget or the pool is shutting down.
-func (p *verifyPool) admit(job *verifyJob) bool {
-	id := job.from.id
+func (p *verifyPool) admit(job *pipeline.Job) bool {
+	id := job.From
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -140,7 +106,7 @@ func (p *verifyPool) admit(job *verifyJob) bool {
 
 // next pops one job round-robin across faces. It blocks until a job is
 // available or the pool closes (nil).
-func (p *verifyPool) next() *verifyJob {
+func (p *verifyPool) next() *pipeline.Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -166,8 +132,8 @@ func (p *verifyPool) next() *verifyJob {
 
 // release retires a job's in-flight slot and garbage-collects its
 // face's queue entry when idle.
-func (p *verifyPool) release(job *verifyJob) {
-	id := job.from.id
+func (p *verifyPool) release(job *pipeline.Job) {
+	id := job.From
 	p.mu.Lock()
 	if q := p.queues[id]; q != nil {
 		q.inflight--
@@ -204,44 +170,20 @@ func (p *verifyPool) worker() {
 	}
 }
 
-// run completes a parked job's enforcement decision and resumes its
-// pipeline. It executes on a worker goroutine — never on a face reader.
-func (p *verifyPool) run(job *verifyJob) {
-	f := p.f
-	parkDur := time.Since(job.parkedAt)
-	f.m.observeParkTime(parkDur)
-	if job.sp != nil {
-		job.sp.EventDur("parked", parkDur, "")
-	}
-	switch job.kind {
-	case verifyEdgeInterest:
-		dec := f.tactic.EdgeVerifyMiss(job.i.Tag, job.now)
-		if job.sp != nil {
-			job.sp.Event("verify", verifyDetail(dec.Denied()))
-		}
-		if dec.Denied() {
-			f.nackInterest(job.i, job.from, dec.Reason, job.sp, job.inTC)
-			return
-		}
-		job.i.Flag = dec.Flag
-		if job.sp != nil {
-			job.sp.Event("flag", formatFlag(dec.Flag))
-		}
-		f.continueInterest(job.i, job.from, job.now, job.sp, job.inTC, job.sampled)
-	case verifyContentHit:
-		dec := f.tactic.ContentVerifyMiss(job.i.Tag, job.flag, job.now)
-		if job.sp != nil {
-			job.sp.Event("verify", verifyDetail(dec.Denied()))
-		}
-		f.finishContentHit(job.i, job.from, job.content, dec, job.sp, job.inTC, job.sampled)
-	}
+// run completes a parked job's verification and resumes its pipeline.
+// It executes on a worker goroutine — never on a face reader.
+func (p *verifyPool) run(job *pipeline.Job) {
+	parkDur := time.Since(job.Parked)
+	p.f.m.observeParkTime(parkDur)
+	span(job.Span).EventDur("parked", parkDur, "")
+	p.f.pipe.Resume(job)
 }
 
 // flushWhere removes parked jobs matching keep==true and NACKs each
 // with the given reason (best-effort: the face may already be gone).
 // In-flight jobs are not touched — their verdicts land normally.
-func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
-	var out []*verifyJob
+func (p *verifyPool) flushWhere(match func(*pipeline.Job) bool, reason error) int {
+	var out []*pipeline.Job
 	p.mu.Lock()
 	for id, q := range p.queues {
 		kept := q.jobs[:0]
@@ -267,7 +209,7 @@ func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
 	p.mu.Unlock()
 	for _, job := range out {
 		p.flushed.Add(1)
-		p.f.nackInterest(job.i, job.from, reason, job.sp, job.inTC)
+		p.f.pipe.Deny(job, reason)
 	}
 	return len(out)
 }
@@ -275,7 +217,7 @@ func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
 // flushFace flushes every job parked for one arrival face (face
 // death). The NACKs are best-effort sends into a closing connection.
 func (p *verifyPool) flushFace(id ndn.FaceID, reason error) int {
-	return p.flushWhere(func(j *verifyJob) bool { return j.from.id == id }, reason)
+	return p.flushWhere(func(j *pipeline.Job) bool { return j.From == id }, reason)
 }
 
 // shutdown stops the workers (in-flight verifies complete and deliver
@@ -288,7 +230,7 @@ func (p *verifyPool) shutdown() {
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.wg.Wait()
-	p.flushWhere(func(*verifyJob) bool { return true }, core.ErrOverload)
+	p.flushWhere(func(*pipeline.Job) bool { return true }, core.ErrOverload)
 }
 
 // Sheds returns the number of Interests shed over budget.

@@ -32,13 +32,13 @@ func BenchmarkFIBLookup(b *testing.B) {
 }
 
 func BenchmarkPITInsertConsume(b *testing.B) {
-	p := NewPIT()
+	p := NewShardedPIT()
 	nms := benchNames(1024)
-	deadline := time.Unix(1<<31, 0)
+	now, deadline := time.Unix(0, 0), time.Unix(1<<31, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := nms[i%len(nms)]
-		p.Insert(n, PITRecord{InFace: 1, Nonce: uint64(i)}, deadline)
+		p.Admit(n, PITRecord{InFace: 1, Nonce: uint64(i)}, now, deadline)
 		p.Consume(n)
 	}
 }

@@ -34,28 +34,29 @@ func TestFIBRemoveFace(t *testing.T) {
 }
 
 func TestPITOutFaceDefaultsToNone(t *testing.T) {
-	p := NewPIT()
-	e, created := p.Insert(names.MustParse("/a/b"), PITRecord{InFace: 1, Nonce: 1}, time.Now().Add(time.Second))
-	if !created {
+	p := NewShardedPIT()
+	now := time.Now()
+	name := names.MustParse("/a/b")
+	if o, _ := p.Admit(name, PITRecord{InFace: 1, Nonce: 1}, now, now.Add(time.Second)); o != PITNew {
 		t.Fatal("entry not created")
-	}
-	if e.OutFace != FaceNone {
-		t.Errorf("OutFace = %v, want FaceNone", e.OutFace)
 	}
 	// Face 0 is a valid face; an unforwarded entry must not match it.
 	if dropped := p.DropByOutFace(0); len(dropped) != 0 {
 		t.Errorf("DropByOutFace(0) flushed %d unforwarded entries", len(dropped))
 	}
+	if e, _ := p.Consume(name); e.OutFace != FaceNone {
+		t.Errorf("OutFace = %v, want FaceNone", e.OutFace)
+	}
 }
 
 func TestPITDropByOutFace(t *testing.T) {
-	p := NewPIT()
+	p := NewShardedPIT()
 	now := time.Now()
 	exp := now.Add(time.Second)
 	for i, upstream := range []FaceID{7, 7, 9} {
 		name := names.MustParse("/a").MustAppend("c" + string(rune('0'+i)))
-		e, _ := p.Insert(name, PITRecord{InFace: 1, Nonce: uint64(i)}, exp)
-		e.OutFace = upstream
+		p.Admit(name, PITRecord{InFace: 1, Nonce: uint64(i)}, now, exp)
+		p.SetOutFace(name, upstream)
 	}
 
 	dropped := p.DropByOutFace(7)
@@ -71,17 +72,17 @@ func TestPITDropByOutFace(t *testing.T) {
 		t.Errorf("Len = %d, want 1", p.Len())
 	}
 	// The survivor is still retrievable and still points at face 9.
-	e, ok := p.Lookup(names.MustParse("/a/c2"))
+	e, ok := p.Consume(names.MustParse("/a/c2"))
 	if !ok || e.OutFace != 9 {
 		t.Errorf("survivor = (%+v, %v)", e, ok)
 	}
 }
 
 func TestPITExpireBeforeReturnsEntries(t *testing.T) {
-	p := NewPIT()
+	p := NewShardedPIT()
 	now := time.Now()
-	p.Insert(names.MustParse("/a/old"), PITRecord{Nonce: 1}, now.Add(-time.Second))
-	p.Insert(names.MustParse("/a/new"), PITRecord{Nonce: 2}, now.Add(time.Hour))
+	p.Admit(names.MustParse("/a/old"), PITRecord{Nonce: 1}, now.Add(-2*time.Second), now.Add(-time.Second))
+	p.Admit(names.MustParse("/a/new"), PITRecord{Nonce: 2}, now, now.Add(time.Hour))
 
 	expired := p.ExpireBefore(now)
 	if len(expired) != 1 || !expired[0].Name.Equal(names.MustParse("/a/old")) {

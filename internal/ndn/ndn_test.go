@@ -120,18 +120,21 @@ func TestPropertyFIBMatchesNaive(t *testing.T) {
 func pitTime(sec int64) time.Time { return time.Unix(sec, 0) }
 
 func TestPITCreateAndAggregate(t *testing.T) {
-	p := NewPIT()
+	p := NewShardedPIT()
 	name := names.MustParse("/prov0/obj/c0")
-	e, isNew := p.Insert(name, PITRecord{InFace: 1, Nonce: 10}, pitTime(5))
-	if !isNew || len(e.Records) != 1 {
-		t.Fatalf("first insert: new=%v records=%d", isNew, len(e.Records))
+	if o, _ := p.Admit(name, PITRecord{InFace: 1, Nonce: 10}, pitTime(0), pitTime(5)); o != PITNew {
+		t.Fatalf("first admit = %v, want PITNew", o)
 	}
-	e2, isNew2 := p.Insert(name, PITRecord{InFace: 2, Nonce: 11, Flag: 0.5}, pitTime(6))
-	if isNew2 {
-		t.Error("second insert should aggregate")
+	if o, _ := p.Admit(name, PITRecord{InFace: 2, Nonce: 11, Flag: 0.5}, pitTime(0), pitTime(6)); o != PITAggregated {
+		t.Errorf("second admit = %v, want PITAggregated", o)
 	}
-	if e2 != e || len(e.Records) != 2 {
-		t.Errorf("aggregation: records=%d", len(e.Records))
+	created, aggregated, _ := p.Stats()
+	if created != 1 || aggregated != 1 {
+		t.Errorf("stats = %d created, %d aggregated", created, aggregated)
+	}
+	e, ok := p.Consume(name)
+	if !ok || len(e.Records) != 2 {
+		t.Fatalf("consume: ok=%v entry=%+v", ok, e)
 	}
 	if e.Records[1].Flag != 0.5 || e.Records[1].InFace != 2 {
 		t.Error("aggregated tuple <T, F, InFace> not preserved")
@@ -139,21 +142,20 @@ func TestPITCreateAndAggregate(t *testing.T) {
 	if !e.Expires.Equal(pitTime(6)) {
 		t.Error("aggregation should extend entry lifetime")
 	}
-	created, aggregated, _ := p.Stats()
-	if created != 1 || aggregated != 1 {
-		t.Errorf("stats = %d created, %d aggregated", created, aggregated)
+	if !e.HasNonce(11) || e.HasNonce(12) {
+		t.Error("HasNonce does not reflect the aggregated nonces")
 	}
 }
 
 func TestPITConsume(t *testing.T) {
-	p := NewPIT()
+	p := NewShardedPIT()
 	name := names.MustParse("/prov0/obj/c0")
-	p.Insert(name, PITRecord{InFace: 1}, pitTime(5))
+	p.Admit(name, PITRecord{InFace: 1}, pitTime(0), pitTime(5))
 	e, ok := p.Consume(name)
 	if !ok || e == nil {
 		t.Fatal("consume failed")
 	}
-	if _, ok := p.Lookup(name); ok {
+	if p.Len() != 0 {
 		t.Error("consumed entry still present")
 	}
 	if _, ok := p.Consume(name); ok {
@@ -162,9 +164,9 @@ func TestPITConsume(t *testing.T) {
 }
 
 func TestPITExpiry(t *testing.T) {
-	p := NewPIT()
-	p.Insert(names.MustParse("/a/1"), PITRecord{}, pitTime(5))
-	p.Insert(names.MustParse("/a/2"), PITRecord{}, pitTime(10))
+	p := NewShardedPIT()
+	p.Admit(names.MustParse("/a/1"), PITRecord{Nonce: 1}, pitTime(0), pitTime(5))
+	p.Admit(names.MustParse("/a/2"), PITRecord{Nonce: 2}, pitTime(0), pitTime(10))
 	expired := p.ExpireBefore(pitTime(7))
 	if len(expired) != 1 || !expired[0].Name.Equal(names.MustParse("/a/1")) {
 		t.Errorf("expired = %v", expired)
@@ -176,17 +178,54 @@ func TestPITExpiry(t *testing.T) {
 	if expCount != 1 {
 		t.Errorf("expired count = %d", expCount)
 	}
+	// An Interest for a name whose entry lapsed starts a fresh entry.
+	p.Admit(names.MustParse("/a/3"), PITRecord{Nonce: 3}, pitTime(0), pitTime(5))
+	if o, _ := p.Admit(names.MustParse("/a/3"), PITRecord{Nonce: 4}, pitTime(6), pitTime(11)); o != PITNew {
+		t.Errorf("admit onto an expired entry = %v, want PITNew", o)
+	}
 }
 
 func TestPITNonceDedup(t *testing.T) {
-	p := NewPIT()
+	p := NewShardedPIT()
 	name := names.MustParse("/a/1")
-	e, _ := p.Insert(name, PITRecord{Nonce: 42}, pitTime(5))
-	if !e.HasNonce(42) {
-		t.Error("nonce not recorded")
+	p.Admit(name, PITRecord{InFace: 1, Nonce: 42}, pitTime(0), pitTime(5))
+	if o, _ := p.Admit(name, PITRecord{InFace: 2, Nonce: 42}, pitTime(0), pitTime(5)); o != PITDuplicate {
+		t.Errorf("same nonce = %v, want PITDuplicate", o)
 	}
-	if e.HasNonce(43) {
-		t.Error("phantom nonce")
+	if o, _ := p.Admit(name, PITRecord{InFace: 2, Nonce: 43}, pitTime(0), pitTime(5)); o != PITAggregated {
+		t.Errorf("fresh nonce = %v, want PITAggregated", o)
+	}
+}
+
+// TestPITRetransmit pins which fresh nonces count as a retransmission
+// (re-forwarded upstream): only one from a face that already holds a
+// record with the same tag. One face can carry many requesters (a
+// simulated access point), so a fresh tag on a known face aggregates.
+func TestPITRetransmit(t *testing.T) {
+	alice := &core.Tag{ClientKey: names.MustParse("/users/alice/KEY/1"), Expiry: pitTime(100)}
+	aliceCopy := *alice // a decoded retransmission is a distinct pointer
+	bob := &core.Tag{ClientKey: names.MustParse("/users/bob/KEY/1"), Expiry: pitTime(100)}
+	p := NewShardedPIT()
+	name := names.MustParse("/a/1")
+	p.Admit(name, PITRecord{InFace: 1, Tag: alice, Nonce: 1}, pitTime(0), pitTime(5))
+	if o, out := p.Admit(name, PITRecord{InFace: 1, Tag: &aliceCopy, Nonce: 2}, pitTime(0), pitTime(5)); o != PITRetransmit || out != FaceNone {
+		t.Errorf("retransmission before the forward = (%v, %v), want (PITRetransmit, FaceNone)", o, out)
+	}
+	p.SetOutFace(name, 9)
+	for _, c := range []struct {
+		rec  PITRecord
+		want AdmitOutcome
+	}{
+		{PITRecord{InFace: 1, Tag: alice, Nonce: 3}, PITRetransmit},
+		{PITRecord{InFace: 1, Tag: bob, Nonce: 4}, PITAggregated},
+		{PITRecord{InFace: 2, Tag: alice, Nonce: 5}, PITAggregated},
+		{PITRecord{InFace: 3, Nonce: 6}, PITAggregated},
+		{PITRecord{InFace: 3, Nonce: 7}, PITRetransmit},
+	} {
+		o, out := p.Admit(name, c.rec, pitTime(0), pitTime(5))
+		if o != c.want || out != 9 {
+			t.Errorf("admit %+v = (%v, %v), want (%v, 9)", c.rec, o, out, c.want)
+		}
 	}
 }
 
@@ -194,14 +233,14 @@ func TestPropertyPITRecordCount(t *testing.T) {
 	// Total records across the PIT equals inserts minus consumed/expired
 	// records.
 	f := func(ops []uint8) bool {
-		p := NewPIT()
+		p := NewShardedPIT()
 		inserted, removed := 0, 0
 		nms := []names.Name{names.MustParse("/a"), names.MustParse("/b"), names.MustParse("/c")}
 		for i, op := range ops {
 			n := nms[int(op)%len(nms)]
 			switch {
 			case op%3 != 0:
-				p.Insert(n, PITRecord{Nonce: uint64(i)}, pitTime(int64(100)))
+				p.Admit(n, PITRecord{Nonce: uint64(i)}, pitTime(0), pitTime(100))
 				inserted++
 			default:
 				if e, ok := p.Consume(n); ok {
@@ -211,7 +250,7 @@ func TestPropertyPITRecordCount(t *testing.T) {
 		}
 		live := 0
 		for _, n := range nms {
-			if e, ok := p.Lookup(n); ok {
+			if e, ok := p.Consume(n); ok {
 				live += len(e.Records)
 			}
 		}

@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"bytes"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
@@ -58,90 +59,15 @@ func (e *PITEntry) HasNonce(nonce uint64) bool {
 	return false
 }
 
-// PIT is a Pending Interest Table.
-type PIT struct {
-	entries    map[string]*PITEntry
-	aggregated uint64
-	created    uint64
-	expired    uint64
-}
-
-// NewPIT creates an empty PIT.
-func NewPIT() *PIT {
-	return &PIT{entries: make(map[string]*PITEntry)}
-}
-
-// Lookup returns the entry for name, if any.
-func (p *PIT) Lookup(name names.Name) (*PITEntry, bool) {
-	e, ok := p.entries[name.Key()]
-	return e, ok
-}
-
-// Insert records an Interest. When no entry exists one is created (and
-// the caller must forward the Interest upstream — Protocol 4 lines 1-2);
-// otherwise the record is aggregated into the existing entry (lines
-// 3-5). The returned bool reports whether the entry is new.
-func (p *PIT) Insert(name names.Name, rec PITRecord, expires time.Time) (*PITEntry, bool) {
-	k := name.Key()
-	if e, ok := p.entries[k]; ok {
-		e.Records = append(e.Records, rec)
-		if expires.After(e.Expires) {
-			e.Expires = expires
-		}
-		p.aggregated++
-		return e, false
-	}
-	e := &PITEntry{Name: name, Records: []PITRecord{rec}, Expires: expires, OutFace: FaceNone}
-	p.entries[k] = e
-	p.created++
-	return e, true
-}
-
-// DropByOutFace removes and returns every entry whose primary Interest
-// was forwarded to face — called when that face dies, so the pending
-// requests can be accounted (and, on retransmission, re-forwarded via a
-// fresh entry).
-func (p *PIT) DropByOutFace(face FaceID) []*PITEntry {
-	var out []*PITEntry
-	for k, e := range p.entries {
-		if e.OutFace == face {
-			out = append(out, e)
-			delete(p.entries, k)
+// hasRequester reports whether a record from face with tag t is already
+// aggregated: a fresh nonce from it is that requester's retransmission.
+// Matching the tag as well as the face matters where one face carries
+// many requesters (a simulated access point).
+func (e *PITEntry) hasRequester(face FaceID, t *core.Tag) bool {
+	for _, r := range e.Records {
+		if r.InFace == face && (r.Tag == t || r.Tag != nil && t != nil && bytes.Equal(r.Tag.CacheKey(), t.CacheKey())) {
+			return true
 		}
 	}
-	return out
-}
-
-// Consume removes and returns the entry for name — the router is about
-// to satisfy it with arriving Data.
-func (p *PIT) Consume(name names.Name) (*PITEntry, bool) {
-	k := name.Key()
-	e, ok := p.entries[k]
-	if ok {
-		delete(p.entries, k)
-	}
-	return e, ok
-}
-
-// ExpireBefore removes entries whose lifetime ended at or before now and
-// returns them so callers can account for the timed-out requesters.
-func (p *PIT) ExpireBefore(now time.Time) []*PITEntry {
-	var out []*PITEntry
-	for k, e := range p.entries {
-		if !e.Expires.After(now) {
-			out = append(out, e)
-			delete(p.entries, k)
-			p.expired++
-		}
-	}
-	return out
-}
-
-// Len returns the number of pending entries.
-func (p *PIT) Len() int { return len(p.entries) }
-
-// Stats returns entries created, Interests aggregated into existing
-// entries, and entries expired.
-func (p *PIT) Stats() (created, aggregated, expired uint64) {
-	return p.created, p.aggregated, p.expired
+	return false
 }

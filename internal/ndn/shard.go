@@ -10,12 +10,12 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 )
 
-// Concurrency-safe forwarding tables for the live plane: the PIT and CS
-// are sharded by a hash of the content name so packets for different
-// names proceed in parallel, while all operations on one name serialise
-// on its shard lock. The simulator keeps using the plain single-threaded
-// PIT/CS/FIB in pit.go, cs.go, and fib.go — only internal/forwarder uses
-// these types.
+// Concurrency-safe forwarding tables: the PIT and CS are sharded by a
+// hash of the content name so packets for different names proceed in
+// parallel, while all operations on one name serialise on its shard
+// lock. Both planes' pipelines use ShardedPIT and LockedFIB; the
+// simulator keeps the plain global-LRU CS (cs.go) for the paper's cache
+// model, the live plane uses ShardedCS.
 
 // numShards is the shard count for the PIT and CS. A small power of two:
 // enough to keep unrelated names off each other's locks, small enough
@@ -42,10 +42,14 @@ const (
 	// record it with SetOutFace, and forward the Interest (aborting the
 	// entry if it cannot).
 	PITNew AdmitOutcome = iota
-	// PITAggregated: the Interest joined an existing pending entry. The
-	// returned out-face (FaceNone while the primary forward is still in
-	// flight) lets the caller re-send retransmissions upstream.
+	// PITAggregated: the Interest joined an existing pending entry.
 	PITAggregated
+	// PITRetransmit: the Interest joined an existing pending entry that
+	// already holds a record from the same face with the same tag — the
+	// requester's retransmission. The returned out-face (FaceNone while
+	// the primary forward is still in flight) lets the caller re-send it
+	// upstream.
+	PITRetransmit
 	// PITDuplicate: the entry already holds this nonce; drop.
 	PITDuplicate
 )
@@ -79,10 +83,10 @@ func NewShardedPIT() *ShardedPIT {
 func (p *ShardedPIT) shard(key string) *pitShard { return &p.shards[shardIndex(key)] }
 
 // Admit records one Interest: it aggregates onto a live entry (extending
-// its lifetime and reporting the entry's out-face for retransmission
-// handling), reports a duplicate nonce, or — replacing any expired
-// leftover — creates a fresh entry whose out-face the caller must set
-// once a route is resolved.
+// its lifetime, and reporting the entry's out-face for a retransmission),
+// reports a duplicate nonce, or — replacing any expired leftover —
+// creates a fresh entry whose out-face the caller must set once a route
+// is resolved.
 func (p *ShardedPIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID) {
 	k := name.Key()
 	s := p.shard(k)
@@ -93,12 +97,16 @@ func (p *ShardedPIT) Admit(name names.Name, rec PITRecord, now, expires time.Tim
 			if e.HasNonce(rec.Nonce) {
 				return PITDuplicate, FaceNone
 			}
+			outcome := PITAggregated
+			if e.hasRequester(rec.InFace, rec.Tag) {
+				outcome = PITRetransmit
+			}
 			e.Records = append(e.Records, rec)
 			if expires.After(e.Expires) {
 				e.Expires = expires
 			}
 			p.aggregated.Add(1)
-			return PITAggregated, e.OutFace
+			return outcome, e.OutFace
 		}
 		delete(s.entries, k) // expired leftover; replace
 	}

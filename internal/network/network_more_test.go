@@ -9,13 +9,14 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/network"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/sim"
 	"github.com/tactic-icn/tactic/internal/topology"
 )
 
 func TestColludingEdgeDeliversNACKedContent(t *testing.T) {
-	h := newHarness(t, network.RouterConfig{Colluding: true})
+	h := newHarness(t, network.RouterConfig{Comparators: pipeline.Comparators{Colluding: true}})
 	// A forged tag: the provider NACKs, but the colluding edge delivers
 	// the ciphertext anyway (threat (f)).
 	rogue, err := pki.GenerateFast(rand.New(rand.NewSource(70)), h.provider.KeyLocator())
@@ -45,7 +46,7 @@ func TestColludingEdgeDeliversNACKedContent(t *testing.T) {
 }
 
 func TestDropContentOnNACKStarvesDownstream(t *testing.T) {
-	h := newHarness(t, network.RouterConfig{DropContentOnNACK: true, CSCapacity: 100})
+	h := newHarness(t, network.RouterConfig{Comparators: pipeline.Comparators{DropContentOnNACK: true}, CSCapacity: 100})
 	// Warm the core router's cache with a valid fetch.
 	cl := h.enrollClient(t, 71, 3)
 	tag := h.registerViaNetwork(t, cl, 1)

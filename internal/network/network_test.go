@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/network"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/sim"
 	"github.com/tactic-icn/tactic/internal/topology"
@@ -254,15 +256,21 @@ func TestForgedTagBlocked(t *testing.T) {
 		Tag:   forged,
 	}, 0)
 	h.engine.Run()
+	nacked := false
 	for _, d := range h.client.data {
 		if d.Content != nil && !d.Nack {
 			t.Fatal("forged tag received content")
 		}
+		nacked = nacked || d.Nack && errors.Is(d.NackReason, core.ErrTagForged)
 	}
-	// The content router NACKed and the edge dropped the delivery.
+	// The content router NACKed; the edge dropped the delivery and told
+	// the client why.
 	st := h.edge.Stats()
-	if st.Drops["edge-nack-drop"] == 0 {
-		t.Errorf("edge drops = %v, want an edge-nack-drop", st.Drops)
+	if st.Drops[pipeline.DropUndeliverable] == 0 {
+		t.Errorf("edge drops = %v, want an undeliverable drop", st.Drops)
+	}
+	if !nacked {
+		t.Error("client got no forged NACK from the edge")
 	}
 }
 
@@ -350,7 +358,7 @@ func TestTaglessPrivateContentBlocked(t *testing.T) {
 }
 
 func TestDisableEnforcementBaseline(t *testing.T) {
-	h := newHarness(t, network.RouterConfig{DisableEnforcement: true})
+	h := newHarness(t, network.RouterConfig{Comparators: pipeline.Comparators{DisableEnforcement: true}})
 	h.net.SendInterest(0, 0, &ndn.Interest{
 		Name:  h.content.Meta.Name,
 		Kind:  ndn.KindContent,
@@ -363,7 +371,7 @@ func TestDisableEnforcementBaseline(t *testing.T) {
 }
 
 func TestNoPrivateCacheBaseline(t *testing.T) {
-	h := newHarness(t, network.RouterConfig{NoPrivateCache: true})
+	h := newHarness(t, network.RouterConfig{Comparators: pipeline.Comparators{NoPrivateCache: true}})
 	cl := h.enrollClient(t, 40, 3)
 	tag := h.registerViaNetwork(t, cl, 1)
 	h.client.data = nil

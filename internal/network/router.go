@@ -9,7 +9,9 @@ import (
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/metrics"
+	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/topology"
 )
@@ -31,54 +33,38 @@ type RouterConfig struct {
 	// items at this design FPP while keeping BFMaxFPP as the saturation
 	// threshold (paper-fidelity mode; see bloom.NewPaperWithDesign).
 	BFDesignFPP float64
-	// DisableEnforcement turns off all router-side tag processing:
-	// every request is served (baselines OpenNDN / ClientSideAC).
-	DisableEnforcement bool
-	// NoPrivateCache prevents caching and cache-serving of non-Public
-	// content, forcing private requests to the origin (baseline
-	// ProviderAuthAC).
-	NoPrivateCache bool
-	// DropContentOnNACK makes a content router answer an invalid tag
-	// with a pure NACK instead of the paper's content-plus-NACK
-	// (ablation "DropOnNACK"; starves valid aggregated requests
-	// downstream).
-	DropContentOnNACK bool
+	// Comparators are the baseline and ablation switches
+	// (DisableEnforcement, NoPrivateCache, DropContentOnNACK, Colluding).
+	pipeline.Comparators
 	// Traitor, when non-nil, receives every access-path mismatch the
 	// edge observes (the paper's future-work traitor-tracing feature;
 	// typically one detector shared by all edge routers of an ISP).
 	Traitor *core.TraitorDetector
 	// VerifyBudget, when positive, mirrors the live forwarder's per-face
-	// verification admission control: an edge face may have at most this
-	// many signature verifications outstanding (completion instant still
-	// in the virtual future); requests beyond the budget are shed with an
-	// Overload NACK. Zero keeps the pre-admission behaviour, so existing
-	// experiment reproductions are untouched. Tactic.DisableAdmission
-	// forces it off regardless (the "forgot to cap" ablation).
+	// verification admission control: a face may have at most this many
+	// signature verifications outstanding (completion instant still in
+	// the virtual future), whether for an edge Interest or a content-store
+	// hit; requests beyond the budget are shed with an Overload NACK.
+	// Zero keeps the pre-admission behaviour, so existing experiment
+	// reproductions are untouched. Tactic.DisableAdmission forces it off
+	// regardless (the "forgot to cap" ablation).
 	VerifyBudget int
-	// Colluding models threat (f) of the paper's threat model: "an
-	// unreliable router that delivers a content to unauthorized users"
-	// (§3.C) — the compromised-ISP-router collusion §6 concedes breaks
-	// TACTIC ("a malicious ISP router can collude with a revoked client
-	// to deliver him the encrypted content"). A colluding edge skips
-	// Protocol 2 entirely and delivers NACKed content anyway. The
-	// experiment suite quantifies the blast radius (only users behind
-	// the compromised edge benefit).
-	Colluding bool
 	// Tactic selects protocol features (ablations).
 	Tactic core.Config
 }
 
-// RouterNode is a TACTIC router in the simulated network: the NDN
-// forwarding pipeline (CS -> PIT -> FIB) with the paper's Protocols 1-4
-// spliced in. Edge routers additionally run Protocol 2 on their
-// client-side (access-point) faces.
+// RouterNode is a TACTIC router in the simulated network: the shared
+// forwarding pipeline (internal/pipeline) driven on the virtual clock.
+// The node itself is the pipeline's I/O: it schedules the packets the
+// pipeline emits on the topology's links, charges the modeled Bloom
+// filter and signature delays, verifies parked Interests inline under
+// the per-face admission budget, and records sim trace spans.
 type RouterNode struct {
 	net    *Network
 	index  int
 	isEdge bool
 	tactic *enforce.Router
-	fib    *ndn.FIB
-	pit    *ndn.PIT
+	pipe   *pipeline.Pipeline
 	cs     *ndn.CS
 	cfg    RouterConfig
 	rng    *rand.Rand
@@ -99,6 +85,11 @@ type RouterNode struct {
 	// (e.g. after a Bloom-filter reset) delays subsequent packets — the
 	// mechanism behind the paper's Fig. 5 latency spikes.
 	cpuBusyUntil time.Time
+	// proc is the packet in hand's wait from now until its processing
+	// completes; bf and verifs are the operation counts already charged.
+	proc   time.Duration
+	bf     bloom.Stats
+	verifs uint64
 }
 
 // pitGCStride amortises lazy PIT expiry.
@@ -117,8 +108,6 @@ func NewRouterNode(net *Network, index int, isEdge bool, verifier pki.Verifier, 
 		index:  index,
 		isEdge: isEdge,
 		tactic: enforce.NewRouter(id, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
-		fib:    ndn.NewFIB(),
-		pit:    ndn.NewPIT(),
 		cs:     ndn.NewCS(cfg.CSCapacity),
 		cfg:    cfg,
 		rng:    rng,
@@ -126,6 +115,7 @@ func NewRouterNode(net *Network, index int, isEdge bool, verifier pki.Verifier, 
 
 		verifyPending: make(map[ndn.FaceID][]time.Time),
 	}
+	r.pipe = pipeline.New(r.tactic, r.cs, (*routerSink)(r), isEdge, cfg.PITLifetime, cfg.Comparators)
 	return r, nil
 }
 
@@ -141,7 +131,7 @@ func newRouterFilter(cfg RouterConfig) (*bloom.Filter, error) {
 }
 
 // FIB exposes the router's FIB for route installation.
-func (r *RouterNode) FIB() *ndn.FIB { return r.fib }
+func (r *RouterNode) FIB() *ndn.LockedFIB { return r.pipe.FIB() }
 
 // Index returns the router's graph index.
 func (r *RouterNode) Index() int { return r.index }
@@ -155,51 +145,6 @@ func (r *RouterNode) IsEdge() bool { return r.isEdge }
 // CSNames returns the names currently held in the content store, in
 // unspecified order — the conformance oracle's end-state cache view.
 func (r *RouterNode) CSNames() []string { return r.cs.Names() }
-
-// drop records a dropped packet by reason.
-func (r *RouterNode) drop(reason string) { r.drops[reason]++ }
-
-// charge runs fn, samples the computational delay for the Bloom-filter
-// and signature operations it performed, and serialises that work on the
-// router's CPU. The returned duration is the total wait from now until
-// this packet's processing completes (queueing behind earlier bursts
-// included).
-func (r *RouterNode) charge(fn func()) time.Duration {
-	return r.chargeSpan(nil, fn)
-}
-
-// chargeSpan is charge with the delay decomposition recorded as stage
-// events on sp (nil records nothing). The RNG draws are identical
-// either way, so tracing never perturbs a run.
-func (r *RouterNode) chargeSpan(sp *SimSpan, fn func()) time.Duration {
-	bfBefore := r.tactic.Bloom().Stats()
-	vBefore := r.tactic.Validator().Verifications()
-	fn()
-	bfAfter := r.tactic.Bloom().Stats()
-	vAfter := r.tactic.Validator().Verifications()
-	lk, ins, vf := r.net.SampleOpsSplit(r.rng,
-		bfAfter.Lookups-bfBefore.Lookups,
-		bfAfter.Insertions-bfBefore.Insertions,
-		vAfter-vBefore)
-	if sp != nil {
-		if lk > 0 {
-			sp.Event("bf_lookup", lk, "")
-		}
-		if ins > 0 {
-			sp.Event("bf_insert", ins, "")
-		}
-		if vf > 0 {
-			sp.Event("verify", vf, "")
-		}
-	}
-	wait := r.cpuWait(lk + ins + vf)
-	if sp != nil {
-		if q := wait - (lk + ins + vf); q > 0 {
-			sp.Event("queue", q, "")
-		}
-	}
-	return wait
-}
 
 // id returns the router's topology node identity.
 func (r *RouterNode) id() string { return r.net.Graph.Nodes[r.index].ID }
@@ -235,14 +180,9 @@ func (r *RouterNode) verifyBudget() int {
 	return r.cfg.VerifyBudget
 }
 
-// admitVerify prunes the face's retired verifications and reports
-// whether one more fits under the budget. Always true when admission is
-// off.
-func (r *RouterNode) admitVerify(from ndn.FaceID, now time.Time) bool {
-	budget := r.verifyBudget()
-	if budget <= 0 {
-		return true
-	}
+// outstandingVerifies prunes the face's retired verifications and
+// returns how many are still outstanding at now.
+func (r *RouterNode) outstandingVerifies(from ndn.FaceID, now time.Time) int {
 	kept := r.verifyPending[from][:0]
 	for _, done := range r.verifyPending[from] {
 		if done.After(now) {
@@ -250,319 +190,136 @@ func (r *RouterNode) admitVerify(from ndn.FaceID, now time.Time) bool {
 		}
 	}
 	r.verifyPending[from] = kept
-	return len(kept) < budget
+	return len(kept)
 }
 
-// noteVerify records an admitted verification's virtual completion
-// instant against its arrival face.
-func (r *RouterNode) noteVerify(from ndn.FaceID, done time.Time) {
-	if r.verifyBudget() <= 0 {
-		return
-	}
-	r.verifyPending[from] = append(r.verifyPending[from], done)
-}
-
-// maybeGCPIT lazily expires PIT entries every pitGCStride operations.
-func (r *RouterNode) maybeGCPIT() {
-	r.opCount++
-	if r.opCount%pitGCStride == 0 {
-		r.pit.ExpireBefore(r.net.Engine.Now())
-	}
-}
-
-// HandleInterest implements the router's Interest pipeline.
+// HandleInterest runs an Interest through the router's pipeline.
 func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	r.interests++
-	r.maybeGCPIT()
-	now := r.net.Engine.Now()
-	inTC := i.Trace
-	sp := r.net.StartTraceSpan(inTC, r.id(), r.role(), "interest", i.Name.String())
-	var proc time.Duration
-
-	if i.Kind == ndn.KindContent && r.isEdge && !r.cfg.DisableEnforcement && !r.cfg.Colluding &&
-		r.net.PeerKind(r.index, from) == topology.KindAccessPoint {
-		// Protocol 2 (On Interest) at the edge for client-side arrivals,
-		// split fast/slow exactly like the live forwarder: the BF-backed
-		// fast decision runs first, and only a miss that needs a
-		// signature check passes through per-face admission. The split is
-		// RNG-neutral — SampleOpsSplit draws per operation in class order
-		// (lookups, inserts, verifies), which is the same sequence the
-		// combined charge produced.
-		var dec enforce.Verdict
-		proc += r.chargeSpan(sp, func() {
-			dec = r.tactic.EdgeOnInterestFast(i.Tag, i.AccessPath, i.Name, now)
-		})
-		if dec.NeedsVerify() {
-			if !r.admitVerify(from, now) {
-				r.drop(reasonString(core.ErrOverload))
-				r.nacksSent++
-				sp.Event("precheck", 0, reasonString(core.ErrOverload))
-				nack := &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: core.ErrOverload,
-					Trace: NextHopTrace(inTC, sp)}
-				r.net.SendData(r.index, from, nack, proc)
-				sp.End("nack", proc)
-				return
-			}
-			proc += r.chargeSpan(sp, func() {
-				dec = r.tactic.EdgeVerifyMiss(i.Tag, now)
-			})
-			r.noteVerify(from, now.Add(proc))
-		}
-		if dec.Denied() {
-			r.drop(reasonString(dec.Reason))
-			r.nacksSent++
-			if r.cfg.Traitor != nil && errors.Is(dec.Reason, core.ErrAccessPathMismatch) {
-				r.cfg.Traitor.Observe(i.Tag, i.AccessPath)
-			}
-			sp.Event("precheck", 0, reasonString(dec.Reason))
-			nack := &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: dec.Reason,
-				Trace: NextHopTrace(inTC, sp)}
-			r.net.SendData(r.index, from, nack, proc)
-			sp.End("nack", proc)
-			return
-		}
-		i.Flag = dec.Flag
+	r.opCount++
+	if r.opCount%pitGCStride == 0 {
+		r.pipe.PIT().ExpireBefore(r.net.Engine.Now())
 	}
-
-	if i.Kind == ndn.KindContent {
-		if content, ok := r.cs.Lookup(i.Name); ok && r.servableFromCache(content) {
-			if r.cfg.DisableEnforcement {
-				d := &ndn.Data{Name: i.Name, Content: content, Tag: i.Tag, Flag: i.Flag,
-					Trace: NextHopTrace(inTC, sp)}
-				r.net.SendData(r.index, from, d, proc)
-				sp.End("cs_hit", proc)
-				return
-			}
-			// Content-router role: Protocol 3.
-			var dec enforce.Verdict
-			proc += r.chargeSpan(sp, func() {
-				dec = r.tactic.ContentOnInterest(i.Tag, content.Meta, i.Flag, now)
-			})
-			outcome := "cs_hit"
-			if dec.Denied() {
-				r.nacksSent++
-				outcome = "cs_hit_nack"
-			}
-			d := &ndn.Data{
-				Name:       i.Name,
-				Content:    content,
-				Tag:        i.Tag,
-				Flag:       dec.Flag,
-				Nack:       dec.Denied(),
-				NackReason: dec.Reason,
-				Trace:      NextHopTrace(inTC, sp),
-			}
-			if d.Nack && r.cfg.DropContentOnNACK {
-				d.Content = nil
-			}
-			r.net.SendData(r.index, from, d, proc)
-			sp.End(outcome, proc)
-			return
-		}
-	}
-
-	// PIT: duplicate suppression, then aggregate-or-create.
-	if entry, ok := r.pit.Lookup(i.Name); ok && entry.Expires.After(now) {
-		if entry.HasNonce(i.Nonce) {
-			r.drop("duplicate-nonce")
-			sp.End("drop_duplicate_nonce", proc)
-			return
-		}
-		r.pit.Insert(i.Name, ndn.PITRecord{
-			Tag: i.Tag, Flag: i.Flag, InFace: from, Nonce: i.Nonce, Arrived: now,
-		}, now.Add(r.cfg.PITLifetime))
-		sp.End("pit_aggregated", proc)
-		return
-	} else if ok {
-		// Stale entry: drop it and start fresh.
-		r.pit.Consume(i.Name)
-	}
-	r.pit.Insert(i.Name, ndn.PITRecord{
-		Tag: i.Tag, Flag: i.Flag, InFace: from, Nonce: i.Nonce, Arrived: now,
-	}, now.Add(r.cfg.PITLifetime))
-
-	face, ok := r.fib.Lookup(i.Name)
-	if !ok {
-		r.drop("no-route")
-		sp.End("drop_no_route", proc)
-		return
-	}
-	i.Trace = NextHopTrace(inTC, sp)
-	r.net.SendInterest(r.index, face, i, proc)
-	sp.End("forwarded", proc)
+	r.pipe.Interest(i, r.packet(i.Trace, "interest", i.Name, from))
 }
 
-// HandleData implements the router's Data pipeline.
+// HandleData runs a Data through the router's pipeline.
 func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 	r.dataSeen++
-	now := r.net.Engine.Now()
+	r.pipe.Data(d, r.packet(d.Trace, "data", d.Name, from))
+}
 
-	if d.Registration != nil {
-		r.handleRegistrationData(d)
+// packet opens a packet's pass: a fresh processing charge and, when the
+// packet is traced, its hop span.
+func (r *RouterNode) packet(tc ndn.TraceContext, kind string, name names.Name, from ndn.FaceID) pipeline.Packet {
+	r.proc = 0
+	r.bf, r.verifs = r.tactic.Bloom().Stats(), r.tactic.Validator().Verifications()
+	pkt := pipeline.Packet{
+		From:       from,
+		Downstream: r.net.PeerKind(r.index, from) == topology.KindAccessPoint,
+		Now:        r.net.Engine.Now(),
+		Trace:      NextHopTrace(tc, nil),
+	}
+	if r.net.Tracing() {
+		if sp := r.net.StartTraceSpan(tc, r.id(), r.role(), kind, name.String()); sp != nil {
+			pkt.Span, pkt.Trace = sp, sp.WireContext()
+		}
+	}
+	return pkt
+}
+
+// routerSink is the RouterNode seen as the pipeline's Sink.
+type routerSink RouterNode
+
+func span(s any) *SimSpan {
+	sp, _ := s.(*SimSpan)
+	return sp
+}
+
+// charge samples the modeled delay of the Bloom-filter and signature
+// operations the pipeline performed since the last charge and books it
+// on the router CPU (after any earlier burst): proc becomes the wait
+// from now until the packet's processing completes. A packet that did
+// no such work is not delayed. The RNG draws depend only on the
+// operation counts, so tracing never perturbs a run.
+func (s *routerSink) charge(sp *SimSpan) {
+	r := (*RouterNode)(s)
+	bf, verifs := r.tactic.Bloom().Stats(), r.tactic.Validator().Verifications()
+	lk, ins, vf := r.net.SampleOpsSplit(r.rng, bf.Lookups-r.bf.Lookups, bf.Insertions-r.bf.Insertions, verifs-r.verifs)
+	r.bf, r.verifs = bf, verifs
+	for _, ev := range [...]struct {
+		stage string
+		d     time.Duration
+	}{{"bf_lookup", lk}, {"bf_insert", ins}, {"verify", vf}} {
+		if ev.d > 0 {
+			sp.Event(ev.stage, ev.d, "")
+		}
+	}
+	work := lk + ins + vf
+	if work == 0 {
 		return
 	}
-
-	inTC := d.Trace
-	sp := r.net.StartTraceSpan(inTC, r.id(), r.role(), "data", d.Name.String())
-
-	if d.Content != nil && r.servableFromCache(d.Content) {
-		// Pervasive caching: every router on the reverse path caches
-		// (capacity 0 disables, as configured for edge routers).
-		r.cs.Insert(d.Content)
-	}
-
-	entry, ok := r.pit.Consume(d.Name)
-	if !ok {
-		r.drop("unsolicited-data")
-		sp.End("drop_unsolicited", 0)
-		return
-	}
-	outTC := NextHopTrace(inTC, sp)
-
-	primary := entry.Records[0]
-	if r.cfg.DisableEnforcement {
-		for _, rec := range entry.Records {
-			out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
-			r.net.SendData(r.index, rec.InFace, out, 0)
-		}
-		sp.End("delivered", 0)
-		return
-	}
-	if r.isEdge {
-		outcome, proc := r.edgeDeliver(d, primary, true, now, outTC, sp)
-		sp.End(outcome, proc)
-	} else {
-		// Protocol 4 lines 6-10: the primary requester receives the
-		// content as-is, NACK included.
-		out := &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: primary.Tag,
-			Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason,
-			Trace: outTC,
-		}
-		r.net.SendData(r.index, primary.InFace, out, 0)
-		sp.End("forwarded", 0)
-	}
-
-	// Aggregated records: validate per tag (Protocol 2 lines 22-23 at
-	// the edge, Protocol 4 lines 11-26 at core routers). The hop span
-	// has ended: it narrates the traced (primary) request's path;
-	// aggregated deliveries still carry the onward context so their
-	// consumers see a complete hop count.
-	for _, rec := range entry.Records[1:] {
-		if d.Content == nil {
-			// Pure NACK (DropOnNACK ablation upstream): nothing can be
-			// delivered; propagate the NACK.
-			if !r.isEdge {
-				out := &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: d.NackReason, Trace: outTC}
-				r.net.SendData(r.index, rec.InFace, out, 0)
-			} else {
-				r.drop("edge-nack-drop")
-			}
-			continue
-		}
-		if r.isEdge {
-			r.edgeDeliver(d, rec, false, now, outTC, nil)
-			continue
-		}
-		if rec.Tag == nil {
-			if publicContent(d) {
-				out := &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC}
-				r.net.SendData(r.index, rec.InFace, out, 0)
-			} else {
-				r.nacksSent++
-				out := &ndn.Data{Name: d.Name, Content: d.Content, Nack: true, NackReason: core.ErrNoTag, Trace: outTC}
-				r.net.SendData(r.index, rec.InFace, out, 0)
-			}
-			continue
-		}
-		var dec enforce.Verdict
-		proc := r.charge(func() {
-			dec = r.tactic.IntermediateOnAggregatedContent(rec.Tag, d.Content.Meta, rec.Flag, now)
-		})
-		if dec.Denied() {
-			r.nacksSent++
-		}
-		out := &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: rec.Tag,
-			Flag: dec.Flag, Nack: dec.Denied(), NackReason: dec.Reason,
-			Trace: outTC,
-		}
-		r.net.SendData(r.index, rec.InFace, out, proc)
+	before := r.proc
+	r.proc = r.cpuWait(work)
+	if q := r.proc - before - work; q > 0 {
+		sp.Event("queue", q, "")
 	}
 }
 
-// servableFromCache reports whether this router may cache/serve the
-// content (ProviderAuthAC forbids caching private content).
-func (r *RouterNode) servableFromCache(c *core.Content) bool {
-	if !r.cfg.NoPrivateCache {
-		return true
-	}
-	return c.Meta.Level == core.Public
+func (s *routerSink) SendData(sp any, face ndn.FaceID, d *ndn.Data) {
+	s.charge(span(sp))
+	s.net.SendData(s.index, face, d, s.proc)
 }
 
-// publicContent reports whether the data carries Public-level content.
-func publicContent(d *ndn.Data) bool {
-	return d.Content != nil && d.Content.Meta.Level == core.Public
+func (s *routerSink) SendInterest(sp any, face ndn.FaceID, i *ndn.Interest) error {
+	s.charge(span(sp))
+	s.net.SendInterest(s.index, face, i, s.proc)
+	return nil
 }
 
-// edgeDeliver applies Protocol 2's On-Content logic for one PIT record
-// and forwards (or drops) the content toward the client, stamping outTC
-// on whatever it sends. It returns the outcome and charged processing
-// time for the caller's hop span (sp decomposes the charge; nil for
-// aggregated records, whose work is not part of the traced request).
-func (r *RouterNode) edgeDeliver(d *ndn.Data, rec ndn.PITRecord, isPrimary bool, now time.Time, outTC ndn.TraceContext, sp *SimSpan) (string, time.Duration) {
-	if rec.Tag == nil {
-		// Tagless requester: deliverable only for Public content.
-		if publicContent(d) && !d.Nack {
-			out := &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC}
-			r.net.SendData(r.index, rec.InFace, out, 0)
-			return "delivered", 0
-		}
-		r.drop("tagless-private")
-		return "drop_tagless_private", 0
-	}
-	var deliver bool
-	var proc time.Duration
-	if r.cfg.Colluding {
-		// Threat (f): deliver regardless of the upstream verdict.
-		if d.Content != nil {
-			out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
-			r.net.SendData(r.index, rec.InFace, out, 0)
-		}
-		return "delivered", 0
-	}
-	if isPrimary {
-		proc = r.chargeSpan(sp, func() { deliver = !r.tactic.EdgeOnData(rec.Tag, d.Flag, d.Nack).Denied() })
-	} else {
-		// An aggregated record's validity is independent of the primary
-		// tag's NACK: the content rides along with NACKs precisely so
-		// that valid aggregated requests can still be satisfied.
-		proc = r.chargeSpan(sp, func() { deliver = !r.tactic.EdgeOnAggregatedData(rec.Tag, d.Content.Meta, now).Denied() })
-	}
-	if !deliver {
-		r.drop("edge-nack-drop")
-		return "drop_edge_nack", proc
-	}
-	out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
-	r.net.SendData(r.index, rec.InFace, out, proc)
-	return "delivered", proc
-}
-
-// handleRegistrationData forwards a registration response along the
-// reverse path, inserting the fresh tag into the edge Bloom filter
-// (Protocol 2 lines 11-12).
-func (r *RouterNode) handleRegistrationData(d *ndn.Data) {
-	var proc time.Duration
-	if r.isEdge && d.Registration.Tag != nil {
-		proc = r.charge(func() { r.tactic.EdgeOnTagResponse(d.Registration.Tag) })
-	}
-	entry, ok := r.pit.Consume(d.Name)
-	if !ok {
-		r.drop("unsolicited-registration")
+// Nack counts a denial; one that stops an Interest at this hop also
+// counts as a drop under its reason and feeds the traitor detector.
+func (s *routerSink) Nack(reason error, i *ndn.Interest) {
+	s.nacksSent++
+	if i == nil {
 		return
 	}
-	for _, rec := range entry.Records {
-		r.net.SendData(r.index, rec.InFace, d, proc)
+	s.drops[reasonString(reason)]++
+	if s.cfg.Traitor != nil && errors.Is(reason, core.ErrAccessPathMismatch) {
+		s.cfg.Traitor.Observe(i.Tag, i.AccessPath)
+	}
+}
+
+func (s *routerSink) Drop(cause string) { s.drops[cause]++ }
+
+// Park verifies inline: the simulator has no worker pool, only the
+// admission budget, charged against the verification's virtual
+// completion instant.
+func (s *routerSink) Park(j *pipeline.Job) bool {
+	r := (*RouterNode)(s)
+	budget := r.verifyBudget()
+	if budget > 0 && r.outstandingVerifies(j.From, j.Now) >= budget {
+		return false
+	}
+	r.pipe.Resume(j)
+	if budget > 0 {
+		r.verifyPending[j.From] = append(r.verifyPending[j.From], j.Now.Add(r.proc))
+	}
+	return true
+}
+
+func (s *routerSink) Event(sp any, stage, detail string, _ time.Time) {
+	span(sp).Event(stage, 0, detail)
+}
+
+func (s *routerSink) End(sp any, outcome, detail string) {
+	t := span(sp)
+	s.charge(t)
+	if t != nil {
+		if detail != "" {
+			outcome += ":" + detail
+		}
+		t.End(outcome, s.proc)
 	}
 }
 
@@ -586,7 +343,7 @@ type RouterNodeStats struct {
 func (r *RouterNode) Stats() RouterNodeStats {
 	bf := r.tactic.Bloom().Stats()
 	hits, misses, _ := r.cs.Stats()
-	created, aggregated, expired := r.pit.Stats()
+	created, aggregated, expired := r.pipe.PIT().Stats()
 	drops := make(map[string]uint64, len(r.drops))
 	for k, v := range r.drops {
 		drops[k] = v

@@ -132,41 +132,30 @@ func RunScenario(scn *Scenario, opts Options) (*Report, error) {
 		rep.Divergences = append(rep.Divergences, Divergence{Request: req, Field: field, Oracle: oracle, Got: got})
 	}
 	boolStr := func(b bool) string { return fmt.Sprintf("%t", b) }
-	for ri := range scn.Requests {
-		o := ref.Outcomes[ri]
-		s := sim.Outcomes[ri]
-		if o.Delivered != s.Delivered {
-			diverge(ri, "delivered(sim)", boolStr(o.Delivered), boolStr(s.Delivered))
-		}
-		if o.SimNacked() != s.Nacked {
-			diverge(ri, "nacked(sim)", boolStr(o.SimNacked()), boolStr(s.Nacked))
-		}
-		if o.SimNacked() && s.Nacked && o.Reason != s.Reason {
-			// Only the sim plane carries denial reasons to the client.
-			diverge(ri, "reason(sim)", o.Reason, s.Reason)
-		}
-		if live == nil {
+	// Both planes run one pipeline and carry a NACK's reason to the
+	// client (the NackReason TLV 0xF8), so they are held to one
+	// prediction and every predicted NACK's reason is compared.
+	planes := []struct {
+		name string
+		res  *PlaneResult
+	}{{"sim", sim}, {"live", live}}
+	for _, pl := range planes {
+		if pl.res == nil {
 			continue
 		}
-		l := live.Outcomes[ri]
-		if o.Delivered != l.Delivered {
-			diverge(ri, "delivered(live)", boolStr(o.Delivered), boolStr(l.Delivered))
+		for ri, o := range ref.Outcomes {
+			got := pl.res.Outcomes[ri]
+			if o.Delivered != got.Delivered {
+				diverge(ri, "delivered("+pl.name+")", boolStr(o.Delivered), boolStr(got.Delivered))
+			}
+			if o.Nacked() != got.Nacked {
+				diverge(ri, "nacked("+pl.name+")", boolStr(o.Nacked()), boolStr(got.Nacked))
+			}
+			if o.Nacked() && got.Nacked && o.Reason != got.Reason {
+				diverge(ri, "reason("+pl.name+")", o.Reason, got.Reason)
+			}
 		}
-		if o.LiveNacked() != l.Nacked {
-			diverge(ri, "nacked(live)", boolStr(o.LiveNacked()), boolStr(l.Nacked))
-		}
-		if o.Stage == StageEdgeInterest && o.LiveNacked() && l.Nacked && o.Reason != l.Reason {
-			// Edge-Interest denials carry their reason code on the wire
-			// and are settled per-request before any PIT interaction, so
-			// the live reason is comparable. Denials settled upstream are
-			// not: an aggregated record inherits the primary answer's
-			// (possibly absent) reason.
-			diverge(ri, "reason(live)", o.Reason, l.Reason)
-		}
-	}
-	compareCS(ref.CS, sim.CS, "sim", diverge)
-	if live != nil {
-		compareCS(ref.CS, live.CS, "live", diverge)
+		compareCS(ref.CS, pl.res.CS, pl.name, diverge)
 	}
 	return rep, nil
 }

@@ -354,7 +354,7 @@ func liveRequest(info *topoInfo, mat *material, fwds map[int]*forwarder.Forwarde
 		}
 		if d.Nack {
 			// The reason crosses the wire as a one-byte code; report its
-			// canonical label for the edge-denial comparison.
+			// canonical label for the reason comparison.
 			return PlaneOutcome{Nacked: true, Reason: core.ReasonLabel(d.NackReason)}
 		}
 		if d.Content != nil {

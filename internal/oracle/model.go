@@ -135,19 +135,10 @@ type RefOutcome struct {
 	ResolvedAtEdge bool
 }
 
-// SimNacked predicts whether the sim-plane client observes an explicit
-// NACK. The sim edge sends NACKs for Interest-time denials and for
-// denials settled against its own content store, but swallows NACK
-// records arriving from upstream (the client times out instead).
-func (o RefOutcome) SimNacked() bool {
-	return o.Stage == StageEdgeInterest || (o.Stage == StageContent && o.ResolvedAtEdge)
-}
-
-// LiveNacked predicts whether the live-plane client observes an
-// explicit NACK. The live edge converts every denial of a tagged
-// request into an explicit NACK ("fail fast"); only tagless denials
-// settled upstream stay silent.
-func (o RefOutcome) LiveNacked() bool {
+// Nacked predicts whether the client observes an explicit NACK. The
+// edge converts every denial of a tagged request into an explicit NACK
+// ("fail fast"); only tagless denials settled upstream stay silent.
+func (o RefOutcome) Nacked() bool {
 	return !o.Delivered && !(o.Tagless && !o.ResolvedAtEdge)
 }
 

@@ -18,9 +18,8 @@ type PlaneOutcome struct {
 	// Nacked reports an explicit NACK reached the client; Delivered and
 	// Nacked both false means the request timed out silently.
 	Nacked bool
-	// Reason is the denial label when the plane preserves it (the sim
-	// plane passes errors in-process; the live TLV codec does not carry
-	// them, so live reasons are always "").
+	// Reason is the NACK's denial label (core.ReasonLabel of its
+	// NackReason, which both planes carry to the client).
 	Reason string
 }
 
