@@ -11,6 +11,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
+	"github.com/tactic-icn/tactic/internal/pipeline"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
@@ -266,7 +267,7 @@ func (p *Producer) answer(i *ndn.Interest) *ndn.Data {
 		default:
 			sp.EventDur("bf_lookup", enfDur, "miss")
 		}
-		sp.Event("flag", formatFlag(dec.Flag))
+		sp.Event("flag", pipeline.FormatFlag(dec.Flag))
 	}
 	outcome := "served"
 	if dec.Denied() {
