@@ -86,13 +86,13 @@ metrics-lint:
 # Statement-coverage floors: the scheme-agnostic decision engine and the
 # forwarding state machine both planes run are the repo's most
 # safety-critical packages and are held to 90%; the live forwarder
-# (timing-heavy plumbing) to 70%; the tag primitives, wire codec, and
-# tag-lifecycle service to the default 80%.
+# (timing-heavy plumbing) to 70%; the tag primitives, wire codec,
+# tag-lifecycle service, and discrete-event engine to the default 80%.
 COVER_FLOOR ?= 80
 COVER_FLOOR_ENFORCE ?= 90
 COVER_FLOOR_FORWARDER ?= 70
 cover:
-	@$(GO) test -cover ./internal/core/ ./internal/ndn/ ./internal/lifecycle/ ./internal/enforce/ ./internal/pipeline/ ./internal/forwarder/ | tee /tmp/tactic-cover.txt
+	@$(GO) test -cover ./internal/core/ ./internal/ndn/ ./internal/lifecycle/ ./internal/enforce/ ./internal/pipeline/ ./internal/forwarder/ ./internal/sim/ | tee /tmp/tactic-cover.txt
 	@awk -v floor=$(COVER_FLOOR) -v enf=$(COVER_FLOOR_ENFORCE) -v fwd=$(COVER_FLOOR_FORWARDER) '/coverage:/ { f = floor; if ($$2 ~ /internal\/(enforce|pipeline)$$/) f = enf; if ($$2 ~ /internal\/forwarder$$/) f = fwd; gsub(/%/, "", $$5); if ($$5 + 0 < f) { print "FAIL: " $$2 " coverage " $$5 "% below " f "%"; bad = 1 } } END { exit bad }' /tmp/tactic-cover.txt
 
 bench:
@@ -104,10 +104,10 @@ bench:
 perfbench-test:
 	cd perfbench && GOWORK=off $(GO) test ./...
 
-# One iteration of every pipeline benchmark: catches harness bit-rot in
-# seconds without measuring anything.
+# One iteration of every pipeline and sim-engine benchmark: catches
+# harness bit-rot in seconds without measuring anything.
 bench-smoke:
-	$(GO) test ./internal/perf/ -run xxx -bench . -benchtime 1x
+	$(GO) test ./internal/perf/ ./internal/sim/ -run xxx -bench . -benchtime 1x
 
 # Refresh the committed benchmark snapshot (preserves the recorded
 # pre-change baseline) and append to the BENCH_history.jsonl trend.

@@ -133,35 +133,35 @@ func (n *Network) link(index int, face ndn.FaceID) *sim.Link {
 // optional processing delay. The packet is delivered to the peer's
 // handler at link arrival time (or silently lost).
 func (n *Network) SendInterest(index int, face ndn.FaceID, i *ndn.Interest, procDelay time.Duration) {
-	n.send(index, face, i.WireSize(), procDelay, func(peer Node, rf ndn.FaceID) {
-		peer.HandleInterest(i, rf)
-	})
+	if peer, rf, at, ok := n.send(index, face, i.WireSize(), procDelay); ok {
+		n.Engine.ScheduleAt(at, func() { peer.HandleInterest(i, rf) })
+	}
 }
 
 // SendData transmits a Data from a node out of a face after an optional
 // processing delay.
 func (n *Network) SendData(index int, face ndn.FaceID, d *ndn.Data, procDelay time.Duration) {
-	n.send(index, face, d.WireSize(), procDelay, func(peer Node, rf ndn.FaceID) {
-		peer.HandleData(d, rf)
-	})
+	if peer, rf, at, ok := n.send(index, face, d.WireSize(), procDelay); ok {
+		n.Engine.ScheduleAt(at, func() { peer.HandleData(d, rf) })
+	}
 }
 
-func (n *Network) send(index int, face ndn.FaceID, size int, procDelay time.Duration, deliver func(Node, ndn.FaceID)) {
+// send puts a packet of size bytes on a node's outgoing link and returns
+// the peer, the peer's face back toward the node, and the arrival time;
+// ok is false when the face leads nowhere or the link lost the packet.
+func (n *Network) send(index int, face ndn.FaceID, size int, procDelay time.Duration) (peer Node, rf ndn.FaceID, arrival time.Time, ok bool) {
 	if face == ndn.FaceNone || int(face) >= len(n.Graph.Adj[index]) {
-		return
+		return nil, 0, time.Time{}, false
 	}
-	peerIdx := n.Graph.Adj[index][face].Node
-	peer := n.nodes[peerIdx]
+	peer = n.nodes[n.Graph.Adj[index][face].Node]
 	if peer == nil {
-		return
+		return nil, 0, time.Time{}, false
 	}
 	depart := n.Engine.Now().Add(procDelay)
-	arrival, ok := n.link(index, face).Send(depart, size, n.lossRNG)
-	if !ok {
-		return // lost
+	if arrival, ok = n.link(index, face).Send(depart, size, n.lossRNG); !ok {
+		return nil, 0, time.Time{}, false // lost
 	}
-	rf := n.reverseFace[index][face]
-	n.Engine.ScheduleAt(arrival, func() { deliver(peer, rf) })
+	return peer, n.reverseFace[index][face], arrival, true
 }
 
 // Rehome moves a single-faced end device (a client or attacker) from its

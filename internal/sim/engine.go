@@ -1,5 +1,5 @@
 // Package sim is a deterministic discrete-event simulation engine: a
-// virtual clock, an event heap, seeded randomness streams, a link model
+// virtual clock, an event queue, seeded randomness streams, a link model
 // with transmission serialisation, and the computational delay models
 // the paper injects for Bloom-filter and signature operations (ndnSIM
 // "does not take the time of the computational operations into account",
@@ -8,7 +8,7 @@
 package sim
 
 import (
-	"container/heap"
+	"math"
 	"time"
 )
 
@@ -19,23 +19,23 @@ var Epoch = time.Unix(0, 0).UTC()
 // deliberately not concurrency-safe: determinism comes from a single
 // totally-ordered event stream.
 type Engine struct {
-	now       time.Time
-	events    eventHeap
+	// now is virtual nanoseconds since Epoch; later times (past ~292
+	// years) saturate at math.MaxInt64.
+	now       int64
+	events    []event // 4-ary min-heap ordered by (at, seq)
 	seq       uint64
 	processed uint64
 	stopped   bool
 }
 
 // NewEngine creates an engine with the clock at Epoch.
-func NewEngine() *Engine {
-	return &Engine{now: Epoch}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() time.Time { return e.now }
+func (e *Engine) Now() time.Time { return Epoch.Add(time.Duration(e.now)) }
 
 // Elapsed returns the virtual time since Epoch.
-func (e *Engine) Elapsed() time.Duration { return e.now.Sub(Epoch) }
+func (e *Engine) Elapsed() time.Duration { return time.Duration(e.now) }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -44,20 +44,13 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // to zero (run at the current instant, after already-queued events for
 // that instant).
 func (e *Engine) Schedule(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleAt(e.now.Add(delay), fn)
+	e.push(after(e.now, delay), fn)
 }
 
 // ScheduleAt enqueues fn at an absolute virtual time. Times before the
 // current clock are clamped to now.
 func (e *Engine) ScheduleAt(at time.Time, fn func()) {
-	if at.Before(e.now) {
-		at = e.now
-	}
-	e.seq++
-	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
+	e.push(int64(at.Sub(Epoch)), fn) // Sub saturates
 }
 
 // Step executes the earliest pending event, advancing the clock to it.
@@ -66,7 +59,7 @@ func (e *Engine) Step() bool {
 	if e.stopped || len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.pop()
 	e.now = ev.at
 	e.processed++
 	ev.fn()
@@ -75,18 +68,18 @@ func (e *Engine) Step() bool {
 
 // RunUntil executes every event scheduled at or before deadline, then
 // advances the clock to the deadline.
-func (e *Engine) RunUntil(deadline time.Time) {
-	for !e.stopped && len(e.events) > 0 && !e.events[0].at.After(deadline) {
-		e.Step()
-	}
-	if !e.stopped && e.now.Before(deadline) {
-		e.now = deadline
-	}
-}
+func (e *Engine) RunUntil(deadline time.Time) { e.runUntil(int64(deadline.Sub(Epoch))) }
 
 // RunFor is RunUntil(now + d).
-func (e *Engine) RunFor(d time.Duration) {
-	e.RunUntil(e.now.Add(d))
+func (e *Engine) RunFor(d time.Duration) { e.runUntil(after(e.now, d)) }
+
+func (e *Engine) runUntil(deadline int64) {
+	for !e.stopped && len(e.events) > 0 && e.events[0].at <= deadline {
+		e.Step()
+	}
+	if !e.stopped && e.now < deadline {
+		e.now = deadline
+	}
 }
 
 // Run drains the event queue completely.
@@ -102,34 +95,65 @@ func (e *Engine) Stop() { e.stopped = true }
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) }
 
+// after returns now+d, clamping negative d to zero and saturating
+// instead of wrapping past the largest representable time.
+func after(now int64, d time.Duration) int64 {
+	if int64(d) > math.MaxInt64-now { // now is never negative
+		return math.MaxInt64
+	}
+	return now + max(int64(d), 0)
+}
+
 // event is one scheduled callback; seq breaks ties FIFO.
 type event struct {
-	at  time.Time
+	at  int64
 	seq uint64
 	fn  func()
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
-type eventHeap []*event
+func (a *event) before(b *event) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// push inserts an event at max(at, now) and sifts it up.
+func (e *Engine) push(at int64, fn func()) {
+	e.seq++
+	ev := event{at: max(at, e.now), seq: e.seq, fn: fn}
+	e.events = append(e.events, ev)
+	h, i := e.events, len(e.events)-1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = ev
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes the earliest event and sifts the last one down into the
+// vacated root.
+func (e *Engine) pop() event {
+	n := len(e.events) - 1
+	top, last := e.events[0], e.events[n]
+	e.events[n] = event{} // release the callback
+	h := e.events[:n]
+	e.events = h
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -120,6 +122,234 @@ func TestPropertyEngineMonotonicClock(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEngineSaturatesFarFuture checks that delays and absolute times
+// beyond the clock's range saturate instead of wrapping to a time
+// before now, which would run the event at once.
+func TestEngineSaturatesFarFuture(t *testing.T) {
+	e := NewEngine()
+	e.RunFor(time.Second)
+	var order []string
+	e.Schedule(math.MaxInt64, func() { order = append(order, "max-delay") })
+	e.ScheduleAt(Epoch.AddDate(10_000, 0, 0), func() { order = append(order, "far-at") })
+	e.ScheduleAt(time.Time{}, func() { order = append(order, "zero-at") })
+	e.Schedule(time.Hour, func() { order = append(order, "hour") })
+
+	e.RunFor(2 * time.Hour)
+	if len(order) != 2 || order[0] != "zero-at" || order[1] != "hour" {
+		t.Fatalf("fired within two hours: %v, want [zero-at hour]", order)
+	}
+	if e.Elapsed() != time.Second+2*time.Hour {
+		t.Fatalf("clock = %v, want 2h1s", e.Elapsed())
+	}
+	// RunFor with the largest delay saturates too, reaching the far events
+	// in scheduling order.
+	e.RunFor(math.MaxInt64)
+	if len(order) != 4 || order[2] != "max-delay" || order[3] != "far-at" {
+		t.Fatalf("order = %v", order)
+	}
+	if e.Elapsed() != math.MaxInt64 || e.Now().Before(Epoch) {
+		t.Errorf("clock = %v (%v), want saturated", e.Elapsed(), e.Now())
+	}
+	if e.Pending() != 0 {
+		t.Errorf("pending = %d", e.Pending())
+	}
+}
+
+// TestEngineRunUntilEmptyQueue pins the clock, Pending and Stop
+// behaviour when there is nothing to run.
+func TestEngineRunUntilEmptyQueue(t *testing.T) {
+	e := NewEngine()
+	e.RunUntil(Epoch.Add(5 * time.Second))
+	if e.Elapsed() != 5*time.Second || e.Pending() != 0 || e.Processed() != 0 {
+		t.Fatalf("after empty RunUntil: clock %v, pending %d, processed %d", e.Elapsed(), e.Pending(), e.Processed())
+	}
+	if e.Step() {
+		t.Fatal("Step on an empty queue reported an event")
+	}
+	// An earlier deadline never moves the clock back.
+	e.RunUntil(Epoch.Add(time.Second))
+	if e.Elapsed() != 5*time.Second {
+		t.Fatalf("clock moved back to %v", e.Elapsed())
+	}
+	fired := time.Duration(-1)
+	e.Schedule(time.Second, func() { fired = e.Elapsed() })
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", e.Pending())
+	}
+	e.RunFor(time.Second)
+	if fired != 6*time.Second {
+		t.Fatalf("event fired at %v, want 6s", fired)
+	}
+	// A stopped engine neither runs events nor advances its clock.
+	e.Stop()
+	e.Schedule(0, func() { t.Error("event ran after Stop") })
+	e.RunUntil(Epoch.Add(time.Minute))
+	if e.Elapsed() != 6*time.Second || e.Pending() != 1 || e.Step() {
+		t.Errorf("stopped engine: clock %v, pending %d", e.Elapsed(), e.Pending())
+	}
+}
+
+// scheduler is the engine surface the random programs drive.
+type scheduler interface {
+	Now() time.Time
+	Schedule(time.Duration, func())
+	ScheduleAt(time.Time, func())
+	RunUntil(time.Time)
+	Run()
+	Pending() int
+}
+
+// refEngine is the reference model: a plain list kept in scheduling
+// order, stably sorted by time before every firing, so same-time events
+// fire in scheduling order.
+type refEngine struct {
+	now time.Duration
+	q   []refEvent
+}
+
+type refEvent struct {
+	at time.Duration
+	fn func()
+}
+
+func (r *refEngine) Now() time.Time { return Epoch.Add(r.now) }
+func (r *refEngine) Pending() int   { return len(r.q) }
+
+func (r *refEngine) Schedule(d time.Duration, fn func()) {
+	r.ScheduleAt(Epoch.Add(r.now+max(d, 0)), fn)
+}
+
+func (r *refEngine) ScheduleAt(at time.Time, fn func()) {
+	r.q = append(r.q, refEvent{at: max(at.Sub(Epoch), r.now), fn: fn})
+}
+
+func (r *refEngine) RunUntil(deadline time.Time) {
+	r.drain(deadline.Sub(Epoch))
+	r.now = max(r.now, deadline.Sub(Epoch))
+}
+
+// Run drains the queue without moving the clock past the last event.
+func (r *refEngine) Run() { r.drain(math.MaxInt64) }
+
+func (r *refEngine) drain(dl time.Duration) {
+	for len(r.q) > 0 {
+		sort.SliceStable(r.q, func(i, j int) bool { return r.q[i].at < r.q[j].at })
+		if r.q[0].at > dl {
+			break
+		}
+		ev := r.q[0]
+		r.q = r.q[1:]
+		r.now = ev.at
+		ev.fn()
+	}
+}
+
+// firing is one entry of a program's log: an event firing (id >= 0) or
+// a RunUntil checkpoint (id < 0) with the queue length.
+type firing struct {
+	id, pending int
+	at          time.Duration
+}
+
+// runProgram drives s through the random program seeded by seed:
+// relative and absolute (possibly past) scheduling, same-instant bursts,
+// handlers that schedule further events, and RunUntil deadlines. It
+// returns the firing log.
+func runProgram(s scheduler, seed int64) []firing {
+	rng := rand.New(rand.NewSource(seed))
+	// A coarse millisecond grid, including negative delays, makes ties
+	// and clamping common.
+	delay := func() time.Duration { return time.Duration(rng.Intn(8)-1) * time.Millisecond }
+	var log []firing
+	ids := 0
+	var spawn func(depth int) func()
+	spawn = func(depth int) func() {
+		id := ids
+		ids++
+		return func() {
+			log = append(log, firing{id: id, at: s.Now().Sub(Epoch)})
+			if depth < 3 && rng.Intn(3) == 0 {
+				for k := rng.Intn(3); k >= 0; k-- {
+					s.Schedule(delay(), spawn(depth+1))
+				}
+			}
+		}
+	}
+	for op := 0; op < 60; op++ {
+		switch rng.Intn(5) {
+		case 0:
+			s.Schedule(delay(), spawn(0))
+		case 1:
+			s.ScheduleAt(Epoch.Add(time.Duration(rng.Intn(40))*time.Millisecond), spawn(0))
+		case 2:
+			d := delay()
+			for k := rng.Intn(5) + 2; k > 0; k-- {
+				s.Schedule(d, spawn(0))
+			}
+		default:
+			s.RunUntil(s.Now().Add(delay()))
+			log = append(log, firing{id: -1, pending: s.Pending(), at: s.Now().Sub(Epoch)})
+		}
+	}
+	s.Run()
+	return append(log, firing{id: -1, pending: s.Pending(), at: s.Now().Sub(Epoch)})
+}
+
+// TestPropertyEngineMatchesReference checks the heap's firing order, clock
+// and queue length against the stable-sort reference over random
+// programs.
+func TestPropertyEngineMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		got := runProgram(NewEngine(), seed)
+		want := runProgram(&refEngine{}, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log entries, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: entry %d = %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEngineSteadyStateDoesNotAllocate pins the queue's steady state:
+// once its backing array has grown, scheduling and stepping an existing
+// callback allocates nothing.
+func TestEngineSteadyStateDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(time.Duration(i)*time.Microsecond, fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(37*time.Microsecond, fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("schedule+step allocates %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineScheduleStep measures one schedule plus one step on a
+// queue holding 1,024 events.
+func BenchmarkEngineScheduleStep(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 1024)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
+		e.Schedule(delays[i], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(delays[i%len(delays)], fn)
+		e.Step()
 	}
 }
 

@@ -80,6 +80,9 @@ type Consumer struct {
 	nonce      uint64
 	token      uint64
 	traceSeq   uint64
+	// cycleFn is the cycle method value, bound once so the per-gap
+	// reschedule does not allocate a fresh closure.
+	cycleFn func()
 
 	delivery      metrics.Delivery
 	latency       metrics.Latency
@@ -97,7 +100,7 @@ var _ network.Node = (*Consumer)(nil)
 // NewConsumer creates a consumer at graph index (which must have exactly
 // one face, to its access point).
 func NewConsumer(net *network.Network, index int, source TagSource, catalog *Catalog, zipf *Zipf, rng *rand.Rand, regNames map[string]names.Name, cfg ConsumerConfig) *Consumer {
-	return &Consumer{
+	c := &Consumer{
 		net:             net,
 		index:           index,
 		id:              net.Graph.Nodes[index].ID,
@@ -114,6 +117,8 @@ func NewConsumer(net *network.Network, index int, source TagSource, catalog *Cat
 		tagQ:            metrics.NewTimeSeries(time.Second),
 		tagR:            metrics.NewTimeSeries(time.Second),
 	}
+	c.cycleFn = c.cycle
+	return c
 }
 
 // ID returns the consumer's node identity.
@@ -160,7 +165,7 @@ func (c *Consumer) Start() {
 	if c.cfg.StartJitter > 0 {
 		delay = time.Duration(c.rng.Int63n(int64(c.cfg.StartJitter)))
 	}
-	c.net.Engine.Schedule(delay, c.cycle)
+	c.net.Engine.Schedule(delay, c.cycleFn)
 }
 
 // cycle attempts one request issue and reschedules itself.
@@ -168,7 +173,7 @@ func (c *Consumer) cycle() {
 	c.tryIssue()
 	gap := c.cfg.RequestGap
 	jitter := time.Duration(float64(gap) * (0.5 + c.rng.Float64()))
-	c.net.Engine.Schedule(jitter, c.cycle)
+	c.net.Engine.Schedule(jitter, c.cycleFn)
 }
 
 // tryIssue issues at most one request, respecting the window.

@@ -288,3 +288,34 @@ func TestConsumerMoveToUnknownSourceKind(t *testing.T) {
 		t.Errorf("moves = %d", c.Moves())
 	}
 }
+
+// TestConsumerWarmCycleDoesNotAllocate pins the steady state of a
+// consumer whose window is full: each request cycle reschedules itself
+// without allocating (the cycle callback is bound once, and the engine's
+// queue stores events by value).
+func TestConsumerWarmCycleDoesNotAllocate(t *testing.T) {
+	h := newConsumerHarness(t)
+	// Detach the access point so requests leave and never come back.
+	h.net.SetNode(1, nil)
+	c := h.installConsumer(t, workload.NoTagSource{}, workload.ConsumerConfig{
+		Window:         5,
+		RequestTimeout: time.Hour,
+		RequestGap:     20 * time.Millisecond,
+	})
+	c.Start()
+	h.engine.RunFor(time.Second)
+	if got := c.Stats().Delivery.Requested; got != 5 {
+		t.Fatalf("requested = %d, want a full window of 5", got)
+	}
+	// Five request timeouts an hour out plus the next cycle.
+	if got := h.engine.Pending(); got != 6 {
+		t.Fatalf("pending = %d, want 6", got)
+	}
+	allocs := testing.AllocsPerRun(200, func() { h.engine.Step() })
+	if allocs != 0 {
+		t.Errorf("warm cycle allocates %.1f times, want 0", allocs)
+	}
+	if got := c.Stats().Delivery.Requested; got != 5 {
+		t.Errorf("requested = %d after full-window cycles, want 5", got)
+	}
+}
